@@ -151,14 +151,6 @@ class TensorMap:
         return pauli.tensor_to_matrix_batch(w0, w @ self.A.T, w @ self.C.T)
 
 
-def apply_qubit_channel(ch: QubitChannel, x: PauliElement) -> PauliElement:
-    return ch.apply(x)
-
-
-def apply_tensor_map(m: TensorMap, x: PauliElement) -> np.ndarray:
-    return m.apply_matrix(x)
-
-
 def split_phi_psi(m: TensorMap) -> tuple[QubitChannel, QubitChannel]:
     """The two qubit channels with T-matrices 2A and 2C.
 

@@ -25,13 +25,8 @@ import numpy as np
 from . import classify, oracle
 from .channels import (
     DescriptorError,
-    DiagonalParams,
-    DiagonalTensorParams,
-    QubitChannel,
-    ScalarPairParams,
-    TensorMap,
-    choi_matrix_qubit,
-    choi_matrix_tensor,
+    choi_matrix_qubit_batch,
+    choi_matrix_tensor_batch,
     map_for_descriptor,
     parse_descriptor,
 )
@@ -135,16 +130,30 @@ def scan_flags(spec: ScanSpec) -> np.ndarray:
     return fig2_flags(X, Y)
 
 
+def _bitmask(flags: np.ndarray) -> np.ndarray:
+    """Per-cell integer whose bit c is predicate column c."""
+    mask = np.zeros(flags.shape[1:], dtype=np.uint16)
+    for c in range(flags.shape[0]):
+        mask |= flags[c].astype(np.uint16) << c
+    return mask
+
+
 def write_scan_csv(path: str, spec: ScanSpec, flags: np.ndarray) -> None:
-    """UTF-8, LF line endings, header x,y,<columns>, one row per cell."""
-    xs = spec.xs()
-    ys = spec.ys()
+    """UTF-8, LF line endings, header x,y,<columns>, one row per cell.
+
+    Each x-coordinate is formatted once.  Each grid row formats its y
+    once, builds the 2^k possible "<y>,<bits>" line tails, and is written
+    as one joined string, so memory stays at one row whatever the grid.
+    """
+    k = len(spec.columns)
+    x_heads = [_fmt(x) + "," for x in spec.xs()]
+    bit_strs = [",".join(str((mask >> c) & 1) for c in range(k)) for mask in range(1 << k)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y," + ",".join(spec.columns) + "\n")
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                bits = ",".join(str(int(flags[c, iy, ix])) for c in range(len(spec.columns)))
-                fh.write(f"{_fmt(x)},{_fmt(y)},{bits}\n")
+        for y, row in zip(spec.ys(), _bitmask(flags)):
+            y_head = _fmt(y) + ","
+            tails = [y_head + bits + "\n" for bits in bit_strs]
+            fh.write("".join(map(str.__add__, x_heads, map(tails.__getitem__, row.tolist()))))
 
 
 def write_scan_pgm(path: str, spec: ScanSpec, flags: np.ndarray) -> None:
@@ -154,10 +163,7 @@ def write_scan_pgm(path: str, spec: ScanSpec, flags: np.ndarray) -> None:
     """
     k = len(spec.columns)
     scale = 255 // (1 << k)
-    bitmask = np.zeros((spec.grid, spec.grid), dtype=np.uint16)
-    for c in range(k):
-        bitmask |= flags[c].astype(np.uint16) << c
-    pixels = (bitmask * scale).astype(np.uint8)
+    pixels = (_bitmask(flags) * scale).astype(np.uint8)
     header = (
         f"P5\n"
         f"# {spec.figure}: bits " + ",".join(f"{c}={name}" for c, name in enumerate(spec.columns))
@@ -172,29 +178,37 @@ def write_scan_pgm(path: str, spec: ScanSpec, flags: np.ndarray) -> None:
 def verify_scan_against_choi(spec: ScanSpec, count: int, seed: int) -> list:
     """Re-check `count` random scan points against the Choi spectrum.
 
-    Returns a list of disagreement descriptions (empty means clean).
+    The flags and Choi matrices of all points are built as stacks, and
+    each CP column is decided by one batched eigenvalue call.  Returns a
+    list of disagreement descriptions in draw order (empty means clean).
     """
     rng = np.random.default_rng(seed)
     xs = rng.uniform(*spec.x_range, size=count)
     ys = rng.uniform(*spec.y_range, size=count)
+    if spec.figure == "fig1":
+        t_cp, phi_cp = fig1_flags(xs, ys)
+        diags = np.zeros((count, 3, 3))
+        diags[:, [0, 1, 2], [0, 1, 2]] = np.stack([xs, xs, ys], axis=-1)
+        columns = [
+            ("t_cp", t_cp, choi_matrix_tensor_batch(diags, diags)),
+            ("phi_cp", phi_cp, choi_matrix_qubit_batch(2.0 * diags)),
+        ]
+    else:
+        eye = np.eye(3)
+        chois = choi_matrix_tensor_batch(xs[:, None, None] * eye, ys[:, None, None] * eye)
+        columns = [("cp", fig2_flags(xs, ys)[0], chois)]
+    decided = [
+        (name, flag, classify.choi_min_eigenvalues(chois) >= -DEFAULT.positivity)
+        for name, flag, chois in columns
+    ]
     bad = []
-    for x, y in zip(xs, ys):
-        if spec.figure == "fig1":
-            t_cp, phi_cp = (bool(v) for v in fig1_flags(x, y))
-            m = TensorMap.diagonal(DiagonalTensorParams(x, x, y))
-            choi_ok = classify.cp_choi_numeric(choi_matrix_tensor(m)).status is classify.Status.HOLDS_EXACT
-            if choi_ok != t_cp:
-                bad.append(f"t_cp mismatch at ({_fmt(x)}, {_fmt(y)}): flag={t_cp} choi={choi_ok}")
-            ch = QubitChannel.diagonal(DiagonalParams(2 * x, 2 * x, 2 * y))
-            choi_ok = classify.cp_choi_numeric(choi_matrix_qubit(ch)).status is classify.Status.HOLDS_EXACT
-            if choi_ok != phi_cp:
-                bad.append(f"phi_cp mismatch at ({_fmt(x)}, {_fmt(y)}): flag={phi_cp} choi={choi_ok}")
-        else:
-            cp = bool(fig2_flags(x, y)[0])
-            m = TensorMap.scalar(ScalarPairParams(x, y))
-            choi_ok = classify.cp_choi_numeric(choi_matrix_tensor(m)).status is classify.Status.HOLDS_EXACT
-            if choi_ok != cp:
-                bad.append(f"cp mismatch at ({_fmt(x)}, {_fmt(y)}): flag={cp} choi={choi_ok}")
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        for name, flag, choi_ok in decided:
+            if flag[k] != choi_ok[k]:
+                bad.append(
+                    f"{name} mismatch at ({_fmt(x)}, {_fmt(y)}): "
+                    f"flag={bool(flag[k])} choi={bool(choi_ok[k])}"
+                )
     return bad
 
 

@@ -1,11 +1,13 @@
 """Dense complex matrix kernel for matrices up to 8x8.
 
-Products, adjoints, Kronecker products and Hermitian eigenvalues.  The
-eigensolver is an in-house cyclic Jacobi iteration on the real-symmetric
-embedding [[X, -Y], [Y, X]] of H = X + iY; it accepts stacks of matrices
-and is the single spectral routine behind every fixture and Choi test in
-the package.  ``batch_min_eigenvalue`` is a separate LAPACK-backed fast
-path for bulk oracle sampling.
+Products, adjoints, Kronecker products and Hermitian eigenvalues.  Two
+spectral routines live here.  ``batch_min_eigenvalue`` (closed form for
+2x2, LAPACK otherwise) is the production path: the sampling oracle, the
+numeric Choi test and the scan re-checks use it.  ``hermitian_eigenvalues``
+is an in-house cyclic Jacobi iteration on the real-symmetric embedding
+[[X, -Y], [Y, X]] of H = X + iY; it accepts stacks of matrices and is the
+reference solver that the spectrum fixtures, the agreement harness and
+the tests compare the fast path against.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_deviation(a) -> float:
-    """Max-entry distance from a to its adjoint."""
+def hermitian_deviation(a):
+    """Max-entry distance from a to its adjoint; one value per matrix of a stack."""
     a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
+    dev = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def _jacobi_symmetric(mats: np.ndarray, off_rel: float) -> np.ndarray:
@@ -128,7 +131,7 @@ def hermitian_eigenvalues(a, herm_tol: float = DEFAULT.hermiticity) -> np.ndarra
     and LinAlgError on non-convergence.
     """
     a = _as_square(a)
-    dev = hermitian_deviation(a)
+    dev = float(np.max(hermitian_deviation(a)))
     if dev > herm_tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {herm_tol:.3e}")
     shape = a.shape
@@ -164,8 +167,8 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
 
     2x2 inputs use the closed form; larger ones fall back to LAPACK
     (np.linalg.eigvalsh).  Used by the sampling oracle where millions of
-    small defect matrices are scanned; agreement with the Jacobi solver
-    is pinned by tests.
+    small defect matrices are scanned, and by the numeric Choi test;
+    agreement with the Jacobi solver is pinned by tests.
     """
     stack = np.asarray(stack, dtype=complex)
     n = stack.shape[-1]

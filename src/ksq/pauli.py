@@ -51,9 +51,6 @@ class PauliElement:
     def is_self_adjoint(self, tol: float = DEFAULT.hermiticity) -> bool:
         return abs(self.w0.imag) <= tol and float(np.max(np.abs(self.w.imag))) <= tol
 
-    def norm_w(self) -> float:
-        return float(np.linalg.norm(self.w))
-
     def close_to(self, other: "PauliElement", tol: float = 1e-12) -> bool:
         return abs(self.w0 - other.w0) <= tol and bool(np.all(np.abs(self.w - other.w) <= tol))
 

@@ -99,11 +99,12 @@ def test_criterion_3_diag_ks_vs_oracle_grid():
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     cfg = SampleConfig(n_samples=10000, seed=7, tol=1e-8)
     anomalies = []
-    n_holds = n_fails = 0
+    n_holds = n_fails = n_unwitnessed = 0
     for l1, l2, l3 in pts:
         p = DiagonalParams(l1, l2, l3)
+        ch = QubitChannel.diagonal(p)
         verdict = classify.ks_phi_diag_exact(p)
-        wit = ks_violation_search(QubitChannel.diagonal(p), cfg)
+        wit = ks_violation_search(ch, cfg)
         if verdict.status is classify.Status.HOLDS_EXACT:
             n_holds += 1
             if wit is not None:
@@ -112,11 +113,20 @@ def test_criterion_3_diag_ks_vs_oracle_grid():
             n_fails += 1
             if wit is None or wit.violation >= -1e-6:
                 anomalies.append((tuple(p.as_array()), "fails but no witness", wit))
+            # the verdict's own certificate must violate KS at definition level
+            if verdict.witness is None:
+                n_unwitnessed += 1
+            else:
+                x, reported = verdict.witness
+                value = classify.ks_defect_min_eig(ch, x)
+                if not (value < -cfg.tol and abs(value - reported) <= 1e-12):
+                    anomalies.append((tuple(p.as_array()), "witness does not re-verify", value))
     elapsed = time.perf_counter() - t0
     assert anomalies == [], anomalies[:5]
     assert elapsed < 300.0
     _report(3, f"KS classification vs oracle on the 21^3 grid: {n_holds} holds all "
-               f"oracle-clean, {n_fails} fails all witnessed beyond 1e-6 ({elapsed:.0f}s)")
+               f"oracle-clean, {n_fails} fails all witnessed beyond 1e-6, every returned "
+               f"certificate re-verified, {n_unwitnessed} without one ({elapsed:.0f}s)")
 
 
 def test_criterion_4_redundancy_checks():

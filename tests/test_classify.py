@@ -9,6 +9,7 @@ from ksq.channels import (
     ScalarPairParams,
     TensorMap,
     choi_matrix_qubit,
+    choi_matrix_qubit_batch,
     choi_matrix_tensor,
 )
 from ksq.classify import (
@@ -125,6 +126,48 @@ def test_defect_supremum_against_sampling(rng):
             assert ks_defect_min_eig(ch, witness) < -1e-9
         else:
             assert max(sampled) < 1e-9
+
+
+def test_ks_phi_diag_witness_violates_ks():
+    # the phase difference of w1 and w2 must be d1 + d2; with d1 - d2 this
+    # point's witness had a positive defect eigenvalue (+0.470)
+    p = DiagonalParams(0.301, 0.213, -0.932)
+    tri = ks_phi_diag_exact(p)
+    assert tri.status is Status.FAILS
+    x, violation = tri.witness
+    assert violation == pytest.approx(-0.0658, abs=5e-4)
+    assert ks_defect_min_eig(QubitChannel.diagonal(p), x) == pytest.approx(violation, abs=1e-12)
+    assert "oracle" not in tri.note
+
+
+def test_ks_phi_diag_witness_fallbacks(monkeypatch):
+    # a real input has a zero bracket, so its defect is ||w||^2 - ||Tw||^2 >= 0
+    p = DiagonalParams(1, -1, 1)
+    monkeypatch.setattr(
+        classify, "ks_witness_for_diag", lambda p, n: PauliElement(0.0, [1.0, 0.0, 0.0])
+    )
+    tri = ks_phi_diag_exact(p)
+    assert tri.status is Status.FAILS
+    assert "sampling oracle" in tri.note
+    x, violation = tri.witness
+    assert violation < -1e-8
+    assert ks_defect_min_eig(QubitChannel.diagonal(p), x) == pytest.approx(violation, abs=1e-12)
+
+    from ksq import oracle
+
+    monkeypatch.setattr(oracle, "ks_violation_search", lambda map_obj, cfg: None)
+    tri = ks_phi_diag_exact(p)
+    assert tri.status is Status.FAILS
+    assert tri.witness is None
+    assert "defect supremum" in tri.note and "no witness" in tri.note
+
+
+def test_ks_probe_vectors_read_only():
+    probes = classify.ks_probe_vectors()
+    with pytest.raises(ValueError):
+        probes[0, 0] = 0.0
+    assert probes[0, 0] == 1.0
+    assert classify.ks_probe_vectors() is probes
 
 
 def test_diag_ks_terms_record():
@@ -356,6 +399,19 @@ def test_cp_choi_numeric():
     assert tri.witness == pytest.approx(-1.0)
     with pytest.raises(ValueError, match="Hermitian"):
         cp_choi_numeric(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_choi_min_eigenvalues_stack_matches_jacobi(rng):
+    Ts = rng.uniform(-1.0, 1.0, size=(50, 3, 3))
+    chois = choi_matrix_qubit_batch(Ts)
+    lows = classify.choi_min_eigenvalues(chois)
+    assert lows.shape == (50,)
+    assert np.allclose(lows, linalg.min_eigenvalue(chois), atol=1e-12)
+    assert classify.choi_min_eigenvalues(chois[3]) == pytest.approx(lows[3], abs=1e-15)
+    # one non-Hermitian matrix in the stack is rejected
+    chois[7, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        classify.choi_min_eigenvalues(chois)
 
 
 # --- redundancy claims ------------------------------------------------------

@@ -3,8 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from ksq import cli
-from ksq.cli import ScanSpec, fig1_flags, fig2_flags, scan_flags, write_scan_csv, write_scan_pgm
+from ksq import classify, cli
+from ksq.channels import (
+    DiagonalParams,
+    DiagonalTensorParams,
+    QubitChannel,
+    ScalarPairParams,
+    TensorMap,
+    choi_matrix_qubit,
+    choi_matrix_tensor,
+)
+from ksq.cli import (
+    ScanSpec,
+    fig1_flags,
+    fig2_flags,
+    scan_flags,
+    verify_scan_against_choi,
+    write_scan_csv,
+    write_scan_pgm,
+)
 
 
 def run(argv):
@@ -124,6 +141,87 @@ def test_scan_verify_choi(tmp_path):
         ["scan", "--figure", "fig2", "--grid", "16", "--out", str(out), "--verify-choi", "25"]
     )
     assert code == 0
+
+
+def _reference_scan_csv(spec, flags) -> bytes:
+    """The per-cell formatter that write_scan_csv must reproduce byte for byte."""
+    lines = ["x,y," + ",".join(spec.columns) + "\n"]
+    for iy, y in enumerate(spec.ys()):
+        for ix, x in enumerate(spec.xs()):
+            bits = ",".join(str(int(flags[c, iy, ix])) for c in range(len(spec.columns)))
+            lines.append(f"{cli._fmt(x)},{cli._fmt(y)},{bits}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+@pytest.mark.parametrize("grid", [2, 7, 33])
+def test_scan_csv_matches_reference_formatter(tmp_path, figure, grid):
+    spec = ScanSpec.for_figure(figure, grid)
+    flags = scan_flags(spec)
+    out = tmp_path / "scan.csv"
+    write_scan_csv(str(out), spec, flags)
+    assert out.read_bytes() == _reference_scan_csv(spec, flags)
+
+
+def test_scan_verify_choi_reports_mismatches(tmp_path, monkeypatch, capsys):
+    def flipped(lam, mu):
+        flags = fig2_flags(lam, mu)
+        flags[0] = ~flags[0]
+        return flags
+
+    monkeypatch.setattr(cli, "fig2_flags", flipped)
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--figure", "fig2", "--grid", "8", "--out", str(out)]
+    assert run(argv + ["--verify-choi", "5", "--seed", "3"]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-1.0, 1.0, size=5)
+    ys = rng.uniform(-1.0, 1.0, size=5)
+    assert len(lines) == 5
+    for line, x, y in zip(lines, xs, ys):
+        where = f"({cli._fmt(x)}, {cli._fmt(y)})"
+        assert line.startswith(f"verify-choi: cp mismatch at {where}: flag=")
+
+
+def _per_point_choi_flags(figure):
+    """Flag functions that decide each point by its own cp_choi_numeric call."""
+
+    def holds(choi):
+        return classify.cp_choi_numeric(choi).status is classify.Status.HOLDS_EXACT
+
+    def fig1(a, b):
+        t_cp, phi_cp = [], []
+        for x, y in zip(a, b):
+            m = TensorMap.diagonal(DiagonalTensorParams(x, x, y))
+            t_cp.append(holds(choi_matrix_tensor(m)))
+            ch = QubitChannel.diagonal(DiagonalParams(2 * x, 2 * x, 2 * y))
+            phi_cp.append(holds(choi_matrix_qubit(ch)))
+        return np.array([t_cp, phi_cp])
+
+    def fig2(lam, mu):
+        cp = [
+            holds(choi_matrix_tensor(TensorMap.scalar(ScalarPairParams(x, y))))
+            for x, y in zip(lam, mu)
+        ]
+        return np.array([cp, cp, cp])
+
+    return fig1 if figure == "fig1" else fig2
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_batched_verify_matches_per_point_choi(monkeypatch, figure):
+    spec = ScanSpec.for_figure(figure, 5)
+    per_point = _per_point_choi_flags(figure)
+    flag_name = "fig1_flags" if figure == "fig1" else "fig2_flags"
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(*spec.x_range, size=200)
+    ys = rng.uniform(*spec.y_range, size=200)
+    decided = per_point(xs, ys)
+    assert decided.any(axis=1).all() and (~decided).any(axis=1).all()
+    monkeypatch.setattr(cli, flag_name, per_point)
+    assert verify_scan_against_choi(spec, 200, seed=17) == []
+    monkeypatch.setattr(cli, flag_name, lambda a, b: ~per_point(a, b))
+    assert len(verify_scan_against_choi(spec, 200, seed=17)) == 200 * {"fig1": 2, "fig2": 1}[figure]
 
 
 def test_scan_unwritable_path_exits_3(tmp_path):
