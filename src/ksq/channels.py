@@ -15,6 +15,7 @@ combinators (unitary conjugation, convex mixing) uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -294,18 +295,83 @@ def convex_combination(a, b, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# flat-text descriptors (CLI wire format)
+# the family table: flat-text descriptors (CLI wire format) and builders
 # ---------------------------------------------------------------------------
-
-DESCRIPTOR_KINDS = ("phi", "tdiag", "tlm", "tmat")
 
 
 class DescriptorError(ValueError):
     """Malformed family descriptor."""
 
 
+@dataclass(frozen=True)
+class Family:
+    """Wire format and builders of one descriptor kind.
+
+    arity   number of reals after ``kind:``
+    params  values -> parameter record (a TensorMap for ``tmat``)
+    values  parameter record -> values, the inverse of params
+    map     parameter record -> evaluable map
+    choi    stack (N, arity) of parameter rows -> stack of Choi matrices
+    box     (lo, hi) range of every parameter on the agreement harness
+            grid, or None when the family has no harness
+    """
+
+    arity: int
+    params: Callable
+    values: Callable
+    map: Callable
+    choi: Callable
+    box: Optional[tuple]
+
+
+def _diag_stack(rows) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros(rows.shape[:-1] + (3, 3))
+    out[..., [0, 1, 2], [0, 1, 2]] = rows
+    return out
+
+
+def _lams(p) -> tuple:
+    return p.lam1, p.lam2, p.lam3
+
+
+# the Choi builders look choi_matrix_*_batch up when called, so replacing
+# the module attribute (tracing, tests) reaches every family
+FAMILIES = {
+    "phi": Family(
+        3, lambda v: DiagonalParams(*v), _lams, QubitChannel.diagonal,
+        lambda rows: choi_matrix_qubit_batch(_diag_stack(rows)), (-1.0, 1.0),
+    ),
+    "tdiag": Family(
+        3, lambda v: DiagonalTensorParams(*v), _lams, TensorMap.diagonal,
+        lambda rows: choi_matrix_tensor_batch(_diag_stack(rows), _diag_stack(rows)), (-0.5, 0.5),
+    ),
+    "tlm": Family(
+        2, lambda v: ScalarPairParams(*v), lambda p: (p.lam, p.mu), TensorMap.scalar,
+        lambda rows: choi_matrix_tensor_batch(
+            rows[:, 0, None, None] * np.eye(3), rows[:, 1, None, None] * np.eye(3)
+        ),
+        (-1.0, 1.0),
+    ),
+    # A row-major, then C
+    "tmat": Family(
+        18, lambda v: TensorMap(np.reshape(v[:9], (3, 3)), np.reshape(v[9:], (3, 3))),
+        lambda m: (*m.A.ravel(), *m.C.ravel()), lambda m: m,
+        lambda rows: choi_matrix_tensor_batch(rows[:, :9], rows[:, 9:]), None,
+    ),
+}
+
+
+def _family(kind: str) -> Family:
+    """The table entry of a descriptor kind; DescriptorError if unknown."""
+    try:
+        return FAMILIES[kind]
+    except KeyError:
+        raise DescriptorError(f"unknown descriptor kind {kind!r}") from None
+
+
 def parse_descriptor(text: str):
-    """Parse ``phi:...``, ``tdiag:...``, ``tlm:...`` or ``tmat:...``.
+    """Parse ``kind:v1,v2,...`` for a kind of FAMILIES.
 
     Returns (kind, params) where params is the matching parameter record
     (a TensorMap for ``tmat``).
@@ -319,51 +385,19 @@ def parse_descriptor(text: str):
         values = [float(tok) for tok in payload.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise DescriptorError(f"descriptor {text!r}: {exc}") from None
+    fam = _family(kind)
+    if len(values) != fam.arity:
+        raise DescriptorError(f"{kind} descriptor needs {fam.arity} values")
     try:
-        if kind == "phi":
-            if len(values) != 3:
-                raise DescriptorError("phi descriptor needs 3 values")
-            return "phi", DiagonalParams(*values)
-        if kind == "tdiag":
-            if len(values) != 3:
-                raise DescriptorError("tdiag descriptor needs 3 values")
-            return "tdiag", DiagonalTensorParams(*values)
-        if kind == "tlm":
-            if len(values) != 2:
-                raise DescriptorError("tlm descriptor needs 2 values")
-            return "tlm", ScalarPairParams(*values)
-        if kind == "tmat":
-            if len(values) != 18:
-                raise DescriptorError("tmat descriptor needs 18 values (A row-major, then C)")
-            arr = np.array(values)
-            return "tmat", TensorMap(arr[:9].reshape(3, 3), arr[9:].reshape(3, 3))
+        return kind, fam.params(values)
     except ValueError as exc:
         raise DescriptorError(str(exc)) from None
-    raise DescriptorError(f"unknown descriptor kind {kind!r}")
 
 
 def format_descriptor(kind: str, params) -> str:
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
-
-    if kind == "phi" or kind == "tdiag":
-        return f"{kind}:{fmt(params.lam1)},{fmt(params.lam2)},{fmt(params.lam3)}"
-    if kind == "tlm":
-        return f"tlm:{fmt(params.lam)},{fmt(params.mu)}"
-    if kind == "tmat":
-        vals = list(params.A.ravel()) + list(params.C.ravel())
-        return "tmat:" + ",".join(fmt(v) for v in vals)
-    raise DescriptorError(f"unknown descriptor kind {kind!r}")
+    return f"{kind}:" + ",".join(format(float(v), ".17g") for v in _family(kind).values(params))
 
 
 def map_for_descriptor(kind: str, params):
     """The evaluable map object for a parsed descriptor."""
-    if kind == "phi":
-        return QubitChannel.diagonal(params)
-    if kind == "tdiag":
-        return TensorMap.diagonal(params)
-    if kind == "tlm":
-        return TensorMap.scalar(params)
-    if kind == "tmat":
-        return params
-    raise DescriptorError(f"unknown descriptor kind {kind!r}")
+    return _family(kind).map(params)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .channels import (
     ScalarPairParams,
     TensorMap,
     choi_matrix_tensor,
+    map_for_descriptor,
     parse_descriptor,
 )
 from .pauli import PauliElement
@@ -80,6 +82,17 @@ class Verdict:
         yield "completely_positive", self.completely_positive
 
 
+def _stack(*residuals) -> np.ndarray:
+    # residuals are computed on the unbroadcast inputs, so sparse grids
+    # stay cheap until this final broadcast
+    return np.stack(np.broadcast_arrays(*residuals))
+
+
+def all_hold(res, tol: float = DEFAULT.positivity):
+    """True where every residual of a stack (first axis) is at most tol."""
+    return np.all(res <= tol, axis=0)
+
+
 @dataclass(frozen=True)
 class DiagKsTerms:
     """Intermediate quantities of the diagonal KS inequalities."""
@@ -101,30 +114,6 @@ class DiagKsTerms:
             A=abs(l1 - l2 * l3) ** 2,
             B=abs(l2 - l1 * l3) ** 2,
             C=abs(l3 - l1 * l2) ** 2,
-        )
-
-
-@dataclass(frozen=True)
-class TensorKsTerms:
-    """Intermediate quantities of the diagonal tensor KS inequalities."""
-
-    A1: float
-    A2: float
-    A3: float
-    B1: float
-    B2: float
-    B3: float
-
-    @classmethod
-    def from_params(cls, p: DiagonalTensorParams) -> "TensorKsTerms":
-        l1, l2, l3 = p.lam1, p.lam2, p.lam3
-        return cls(
-            A1=abs(l1 - 2.0 * l2 * l3) ** 2,
-            A2=abs(l2 - 2.0 * l1 * l3) ** 2,
-            A3=abs(l3 - 2.0 * l1 * l2) ** 2,
-            B1=1.0 - 4.0 * l1 * l1,
-            B2=1.0 - 4.0 * l2 * l2,
-            B3=1.0 - 4.0 * l3 * l3,
         )
 
 
@@ -293,7 +282,10 @@ def ks_defect_min_eig(ch, x: PauliElement) -> float:
         else ch.evaluate_batch(np.array([x.w0]), x.w[None, :])[0]
     )
     defect = m_sq - linalg.adjoint(m_x) @ m_x
-    return float(linalg.min_eigenvalue(defect))
+    dev = linalg.hermitian_deviation(defect)
+    if dev > DEFAULT.hermiticity:
+        raise ValueError(f"KS defect is not Hermitian: max deviation {dev:.3e}")
+    return float(linalg.batch_min_eigenvalue(defect))
 
 
 def ks_phi_diag_exact(
@@ -306,7 +298,7 @@ def ks_phi_diag_exact(
     docstring for why the inequalities alone over-reject.
     """
     res = diag_ks_residuals(p.lam1, p.lam2, p.lam3)
-    if np.all(res <= tols.positivity):
+    if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "diag KS inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
     sup, n = diag_ks_defect_supremum(p, resolution)
@@ -372,54 +364,6 @@ def ks_probe_vectors() -> np.ndarray:
     return _BASE_PROBES
 
 
-def _channel_ks_margins(T: np.ndarray, w: np.ndarray):
-    """Norm-contraction and bracket margins of a real channel matrix at w.
-
-    Returns (norm_excess, defect) where norm_excess = ||Tw|| - ||w|| and
-    defect = ||T[w, cw] - [Tw, cTw]|| - (||w||^2 - ||Tw||^2).
-    """
-    tw = w @ T.T
-    nw2 = np.sum(np.abs(w) ** 2, axis=-1)
-    ntw2 = np.sum(np.abs(tw) ** 2, axis=-1)
-    br = np.cross(w, np.conj(w))
-    lhs = np.linalg.norm(br @ T.T - np.cross(tw, np.conj(tw)), axis=-1)
-    return np.sqrt(ntw2) - np.sqrt(nw2), lhs - (nw2 - ntw2)
-
-
-def ks_phi_general(
-    ch: QubitChannel, n_samples: int = 20000, seed: int = 7, tols: Tolerances = DEFAULT
-) -> TriState:
-    """Sampled KS test for a general real channel matrix.
-
-    Checks the norm contraction ||Tw|| <= ||w|| and the bracket
-    inequality over the probe set plus random unit vectors.  Sampling can
-    refute but never certify, so a clean run reports HOLDS_SUFFICIENT.
-    """
-    from .oracle import sample_unit_sphere  # local import to avoid a cycle
-
-    w = np.concatenate([ks_probe_vectors(), sample_unit_sphere(n_samples, seed)])
-    norms = np.linalg.norm(w, axis=-1)
-    w = w / norms[:, None]
-    excess, defect = _channel_ks_margins(ch.T, w)
-    k = int(np.argmax(excess))
-    if excess[k] > 1e-12:
-        return TriState(
-            Status.FAILS,
-            f"norm contraction violated: ||Tw|| - ||w|| = {excess[k]:.3e}",
-            witness=(PauliElement(0.0, w[k]), float(excess[k])),
-        )
-    k = int(np.argmax(defect))
-    if defect[k] > 1e-10:
-        return TriState(
-            Status.FAILS,
-            f"bracket inequality violated by {defect[k]:.3e}",
-            witness=(PauliElement(0.0, w[k]), float(defect[k])),
-        )
-    return TriState(
-        Status.HOLDS_SUFFICIENT, f"no violation among {len(w)} probed/sampled inputs"
-    )
-
-
 # ---------------------------------------------------------------------------
 # positivity of tensor maps
 # ---------------------------------------------------------------------------
@@ -474,7 +418,7 @@ def positive_tensor(m: TensorMap, grid: int = 1024, tols: Tolerances = DEFAULT) 
         return _ascend_sphere(f, lattice[int(np.argmax(f(lattice)))])
 
     if np.array_equal(m.A, m.C):
-        op = math.sqrt(float(linalg.hermitian_eigenvalues(m.A.T @ m.A)[-1]))
+        op = float(np.linalg.norm(m.A, 2))
         if 2.0 * op <= 1.0 + tols.positivity:
             return TriState(Status.HOLDS_EXACT, f"A = C and 2||A||_op = {2 * op:.6g} <= 1")
         best, w_best = search()
@@ -562,7 +506,7 @@ def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAUL
         ]
     )
     res = rhs - lhs
-    if np.all(res <= tols.positivity):
+    if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_SUFFICIENT, "diagonal tensor KS inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
     return TriState(
@@ -572,12 +516,24 @@ def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAUL
     )
 
 
+def ks_tlm_inequality(lam, mu, tol: float = DEFAULT.positivity):
+    """The scalar-family KS sufficient inequality, broadcasting.
+
+        |lam||1 - 2 lam| + |mu||1 - 2 mu| <= 1 - 2 lam^2 - 2 mu^2
+
+    Returns (holds, lhs, rhs).
+    """
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    lhs = np.abs(lam) * np.abs(1.0 - 2.0 * lam) + np.abs(mu) * np.abs(1.0 - 2.0 * mu)
+    rhs = 1.0 - 2.0 * lam * lam - 2.0 * mu * mu
+    return lhs <= rhs + tol, lhs, rhs
+
+
 def ks_tlm_sufficient(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
     """Sufficient KS test for the scalar family."""
-    lam, mu = p.lam, p.mu
-    lhs = abs(lam) * abs(1.0 - 2.0 * lam) + abs(mu) * abs(1.0 - 2.0 * mu)
-    rhs = 1.0 - 2.0 * lam * lam - 2.0 * mu * mu
-    if lhs <= rhs + tols.positivity:
+    holds, lhs, rhs = ks_tlm_inequality(p.lam, p.mu, tols.positivity)
+    if holds:
         return TriState(
             Status.HOLDS_SUFFICIENT, f"scalar KS inequality holds ({lhs:.6g} <= {rhs:.6g})"
         )
@@ -587,15 +543,36 @@ def ks_tlm_sufficient(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriSta
     )
 
 
-def ks_phi_scalar_interval(lam: float, tols: Tolerances = DEFAULT) -> TriState:
-    """Exact KS interval for the scalar channel x -> w0 + 2*lam*w.s.
+def ks_scalar_interval_holds(lam, tol: float = DEFAULT.positivity):
+    """lam in [-1/4, 1/2] (closed endpoints), broadcasting.
 
-    The channel is Kadison-Schwarz exactly for lam in [-1/4, 1/2] (closed
-    endpoints).
+    Exactly where the scalar channel x -> w0 + 2*lam*w.s is Kadison-Schwarz.
     """
-    if -0.25 - tols.positivity <= lam <= 0.5 + tols.positivity:
+    lam = np.asarray(lam, dtype=float)
+    return (lam >= -0.25 - tol) & (lam <= 0.5 + tol)
+
+
+def ks_phi_scalar_interval(lam: float, tols: Tolerances = DEFAULT) -> TriState:
+    """Exact KS interval for the scalar channel x -> w0 + 2*lam*w.s."""
+    if ks_scalar_interval_holds(lam, tols.positivity):
         return TriState(Status.HOLDS_EXACT, f"lam = {lam:.6g} lies in [-1/4, 1/2]")
     return TriState(Status.FAILS, f"lam = {lam:.6g} outside [-1/4, 1/2]")
+
+
+def ks_tlm(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
+    """The scalar-family KS decision short of the oracle.
+
+    The sufficient inequality first; when it is violated, the component
+    rule: the tensor combination of two KS scalar channels is KS.
+    Otherwise INCONCLUSIVE.
+    """
+    tri = ks_tlm_sufficient(p, tols)
+    components = ks_scalar_interval_holds(np.array([p.lam, p.mu]), tols.positivity)
+    if tri.status is Status.INCONCLUSIVE and components.all():
+        return TriState(
+            Status.HOLDS_SUFFICIENT, "both scalar components are KS, so their tensor combination is"
+        )
+    return tri
 
 
 # ---------------------------------------------------------------------------
@@ -603,18 +580,25 @@ def ks_phi_scalar_interval(lam: float, tols: Tolerances = DEFAULT) -> TriState:
 # ---------------------------------------------------------------------------
 
 
+def cp_phi_residuals(l1, l2, l3):
+    """LHS - RHS of the three exact CP inequalities of a diagonal channel.
+
+    The Ruskai-Szarek-Werner tetrahedron (Linear Algebra Appl. 347 (2002)),
+    broadcasting; <= 0 means holds.
+    """
+    l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
+    return _stack(
+        (l1 + l2) ** 2 - (1 + l3) ** 2,
+        (l1 - l2) ** 2 - (1 - l3) ** 2,
+        4 * (l1 * l1 * l2 * l2 + l2 * l2 * l3 * l3 + l1 * l1 * l3 * l3 - 2 * l1 * l2 * l3)
+        - (1 - (l1 * l1 + l2 * l2 + l3 * l3)) ** 2,
+    )
+
+
 def cp_phi_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
     """Exact CP test for diagonal channels (three closed-form inequalities)."""
-    l1, l2, l3 = p.lam1, p.lam2, p.lam3
-    res = np.array(
-        [
-            (l1 + l2) ** 2 - (1 + l3) ** 2,
-            (l1 - l2) ** 2 - (1 - l3) ** 2,
-            4 * (l1 * l1 * l2 * l2 + l2 * l2 * l3 * l3 + l1 * l1 * l3 * l3 - 2 * l1 * l2 * l3)
-            - (1 - (l1 * l1 + l2 * l2 + l3 * l3)) ** 2,
-        ]
-    )
-    if np.all(res <= tols.positivity):
+    res = cp_phi_residuals(p.lam1, p.lam2, p.lam3)
+    if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "diagonal channel CP inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
     return TriState(
@@ -624,15 +608,11 @@ def cp_phi_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
 
 def cp_tensor_diag_residuals(l1, l2, l3):
     """LHS - RHS of the three exact CP inequalities (broadcasting)."""
-    l1, l2, l3 = np.broadcast_arrays(
-        np.asarray(l1, dtype=float), np.asarray(l2, dtype=float), np.asarray(l3, dtype=float)
-    )
-    return np.stack(
-        [
-            2.0 * (l1 + l2) ** 2 - (1.0 + 2.0 * l3),
-            2.0 * (l1 - l2) ** 2 - (1.0 - 2.0 * l3),
-            4.0 * (l1 * l1 + l2 * l2 + l3 * l3) - (1.0 + 16.0 * l1 * l2 * l3),
-        ]
+    l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
+    return _stack(
+        2.0 * (l1 + l2) ** 2 - (1.0 + 2.0 * l3),
+        2.0 * (l1 - l2) ** 2 - (1.0 - 2.0 * l3),
+        4.0 * (l1 * l1 + l2 * l2 + l3 * l3) - (1.0 + 16.0 * l1 * l2 * l3),
     )
 
 
@@ -658,7 +638,7 @@ def cp_tensor_diag_exact(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) ->
     the open-interval criterion.
     """
     res = cp_tensor_diag_residuals(p.lam1, p.lam2, p.lam3).reshape(3)
-    if np.all(res <= tols.positivity):
+    if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "tensor CP minors hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
     return TriState(Status.FAILS, f"tensor CP minor {worst} violated by {res[worst - 1]:.3e}")
@@ -675,16 +655,27 @@ def tlm_choi_eigenvalues(p: ScalarPairParams) -> np.ndarray:
     return np.array([s + 1.0 - 2.0 * root, s + 1.0 + 2.0 * root, 1.0 - s])
 
 
+def cp_tlm_residuals(lam, mu):
+    """LHS - RHS of the two exact CP inequalities of the scalar family.
+
+        2 sqrt(lam^2 - lam mu + mu^2) <= lam + mu + 1,    lam + mu <= 1
+
+    broadcasting; <= 0 means holds.
+    """
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    root = np.sqrt(lam * lam - lam * mu + mu * mu)
+    return _stack(-(lam + mu + 1.0 - 2.0 * root), lam + mu - 1.0)
+
+
 def cp_tlm_exact(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
     """Exact CP test for the scalar family."""
-    root = math.sqrt(p.lam**2 - p.lam * p.mu + p.mu**2)
-    first = p.lam + p.mu + 1.0 - 2.0 * root
-    second = p.lam + p.mu
-    if first >= -tols.positivity and second <= 1.0 + tols.positivity:
+    res = cp_tlm_residuals(p.lam, p.mu)
+    if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "scalar CP inequalities hold")
-    if first < -tols.positivity:
-        return TriState(Status.FAILS, f"lam+mu+1-2*sqrt(lam^2-lam*mu+mu^2) = {first:.6g} < 0")
-    return TriState(Status.FAILS, f"lam+mu = {second:.6g} > 1")
+    if res[0] > tols.positivity:
+        return TriState(Status.FAILS, f"lam+mu+1-2*sqrt(lam^2-lam*mu+mu^2) = {-res[0]:.6g} < 0")
+    return TriState(Status.FAILS, f"lam+mu = {p.lam + p.mu:.6g} > 1")
 
 
 def choi_min_eigenvalues(choi):
@@ -719,10 +710,55 @@ def cp_choi_numeric(choi: np.ndarray, tol: float = DEFAULT.positivity) -> TriSta
 
 def _positive_qubit_exact(ch: QubitChannel, tols: Tolerances) -> TriState:
     """Positivity of a real qubit channel: operator norm of T at most 1."""
-    op = math.sqrt(float(linalg.hermitian_eigenvalues(ch.T.T @ ch.T)[-1]))
+    op = float(np.linalg.norm(ch.T, 2))
     if op <= 1.0 + tols.positivity:
         return TriState(Status.HOLDS_EXACT, f"||T||_op = {op:.6g} <= 1")
     return TriState(Status.FAILS, f"||T||_op = {op:.6g} > 1")
+
+
+@dataclass(frozen=True)
+class Deciders:
+    """The positive, KS and CP deciders of one descriptor kind.
+
+    Each is called as decider(params, map, tols, cfg) and returns a
+    TriState; cfg is the oracle's SampleConfig.  A KS verdict of
+    INCONCLUSIVE sends classify_full and the agreement harness to the
+    sampling oracle.
+    """
+
+    positive: Callable
+    ks: Callable
+    cp: Callable
+
+
+def _positive_tensor_map(p, m, tols, cfg) -> TriState:
+    return positive_tensor(m, tols=tols)
+
+
+# keyed like channels.FAMILIES; the entries look the deciders up when
+# called, so replacing a module attribute (tracing, tests) reaches them
+DECIDERS = {
+    "phi": Deciders(
+        positive=lambda p, m, tols, cfg: _positive_qubit_exact(m, tols),
+        ks=lambda p, m, tols, cfg: ks_phi_diag_exact(p, tols),
+        cp=lambda p, m, tols, cfg: cp_phi_exact(p, tols),
+    ),
+    "tdiag": Deciders(
+        positive=_positive_tensor_map,
+        ks=lambda p, m, tols, cfg: ks_tensor_diag_sufficient(p, tols),
+        cp=lambda p, m, tols, cfg: cp_tensor_diag_exact(p, tols),
+    ),
+    "tlm": Deciders(
+        positive=_positive_tensor_map,
+        ks=lambda p, m, tols, cfg: ks_tlm(p, tols),
+        cp=lambda p, m, tols, cfg: cp_tlm_exact(p, tols),
+    ),
+    "tmat": Deciders(
+        positive=_positive_tensor_map,
+        ks=lambda p, m, tols, cfg: ks_tensor_sufficient(m, cfg.n_samples, cfg.seed, tols),
+        cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols.positivity),
+    ),
+}
 
 
 def classify_full(
@@ -732,62 +768,28 @@ def classify_full(
 
     Accepts the flat text form (``phi:...``) or a pre-parsed
     (kind, params) pair.  Each level uses the strongest test available
-    for the family, with the sampling oracle as fallback where only
-    sufficient conditions exist.
+    for the family (see DECIDERS), with the sampling oracle as fallback
+    where only sufficient conditions exist.
     """
     from . import oracle
 
     kind, params = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
+    m = map_for_descriptor(kind, params)
+    deciders = DECIDERS[kind]
     cfg = oracle.SampleConfig(n_samples=n_samples, seed=seed, tol=tols.ks_violation)
-
-    def oracle_ks(map_obj) -> TriState:
-        wit = oracle.ks_violation_search(map_obj, cfg)
+    pos = deciders.positive(params, m, tols, cfg)
+    ks = deciders.ks(params, m, tols, cfg)
+    if ks.status is Status.INCONCLUSIVE:
+        wit = oracle.ks_violation_search(m, cfg)
         if wit is None:
-            return TriState(
+            ks = TriState(
                 Status.HOLDS_SUFFICIENT, f"oracle found no violation in {n_samples} samples"
             )
-        return TriState(
-            Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit
-        )
-
-    if kind == "phi":
-        ch = QubitChannel.diagonal(params)
-        pos = _positive_qubit_exact(ch, tols)
-        ks = ks_phi_diag_exact(params, tols)
-        cp = cp_phi_exact(params, tols)
-    elif kind == "tdiag":
-        m = TensorMap.diagonal(params)
-        pos = positive_tensor(m, tols=tols)
-        ks = ks_tensor_diag_sufficient(params, tols)
-        if ks.status is Status.INCONCLUSIVE:
-            ks = oracle_ks(m)
-        cp = cp_tensor_diag_exact(params, tols)
-    elif kind == "tlm":
-        m = TensorMap.scalar(params)
-        pos = positive_tensor(m, tols=tols)
-        ks = ks_tlm_sufficient(params, tols)
-        if ks.status is Status.INCONCLUSIVE:
-            comp = ks_phi_scalar_interval(params.lam, tols), ks_phi_scalar_interval(
-                params.mu, tols
+        else:
+            ks = TriState(
+                Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit
             )
-            if comp[0].status is Status.HOLDS_EXACT and comp[1].status is Status.HOLDS_EXACT:
-                ks = TriState(
-                    Status.HOLDS_SUFFICIENT,
-                    "both scalar components are KS, so their tensor combination is",
-                )
-            else:
-                ks = oracle_ks(m)
-        cp = cp_tlm_exact(params, tols)
-    elif kind == "tmat":
-        m = params
-        pos = positive_tensor(m, tols=tols)
-        ks = ks_tensor_sufficient(m, n_samples=n_samples, seed=seed, tols=tols)
-        if ks.status is Status.INCONCLUSIVE:
-            ks = oracle_ks(m)
-        cp = cp_choi_numeric(choi_matrix_tensor(m), tols.positivity)
-    else:
-        raise ValueError(f"unknown descriptor kind {kind!r}")
-
+    cp = deciders.cp(params, m, tols, cfg)
     verdict = Verdict(positive=pos, kadison_schwarz=ks, completely_positive=cp)
     _check_hierarchy(verdict)
     return verdict

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, oracle
-from .channels import (
-    DescriptorError,
-    choi_matrix_qubit_batch,
-    choi_matrix_tensor_batch,
-    map_for_descriptor,
-    parse_descriptor,
-)
+from .channels import FAMILIES, DescriptorError, map_for_descriptor, parse_descriptor
 from .tolerances import DEFAULT
 
 EXIT_OK = 0
@@ -94,37 +88,33 @@ class ScanSpec:
 def fig1_flags(a, b) -> np.ndarray:
     """Columns (t_cp, phi_cp) for the equal-diagonal tensor family T_(a,a,b).
 
-    t_cp:  |b| < 1/2 and a^2 <= (1+2b)/8      (tensor map CP)
-    phi_cp: a^2 <= (1+2b)^2/16                (channel Phi_(2a,2a,2b) CP)
+    t_cp:   the tensor CP minors of tdiag:a,a,b
+    phi_cp: the CP inequalities of the channel phi:2a,2a,2b
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    t_cp = (np.abs(b) < 0.5) & (a * a <= (1.0 + 2.0 * b) / 8.0 + DEFAULT.positivity)
-    phi_cp = a * a <= (1.0 + 2.0 * b) ** 2 / 16.0 + DEFAULT.positivity
-    return np.stack([t_cp, phi_cp])
+    return np.stack(
+        [
+            classify.all_hold(classify.cp_tensor_diag_residuals(a, a, b)),
+            classify.all_hold(classify.cp_phi_residuals(2.0 * a, 2.0 * a, 2.0 * b)),
+        ]
+    )
 
 
 def fig2_flags(lam, mu) -> np.ndarray:
     """Columns (cp, ks_sufficient, ks_scalar_components) for T_(lam, mu)."""
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    root = np.sqrt(lam * lam - lam * mu + mu * mu)
-    cp = (lam + mu + 1.0 - 2.0 * root >= -DEFAULT.positivity) & (
-        lam + mu <= 1.0 + DEFAULT.positivity
+    return np.stack(
+        [
+            classify.all_hold(classify.cp_tlm_residuals(lam, mu)),
+            classify.ks_tlm_inequality(lam, mu)[0],
+            classify.ks_scalar_interval_holds(lam) & classify.ks_scalar_interval_holds(mu),
+        ]
     )
-    ks_suff = np.abs(lam) * np.abs(1.0 - 2.0 * lam) + np.abs(mu) * np.abs(
-        1.0 - 2.0 * mu
-    ) <= 1.0 - 2.0 * lam * lam - 2.0 * mu * mu + DEFAULT.positivity
-    in_interval = lambda v: (v >= -0.25 - DEFAULT.positivity) & (v <= 0.5 + DEFAULT.positivity)
-    comps = in_interval(lam) & in_interval(mu)
-    return np.stack([cp, ks_suff, comps])
 
 
 def scan_flags(spec: ScanSpec) -> np.ndarray:
     """Flag array of shape (ncols, grid, grid) indexed [col, iy, ix]."""
-    xs = spec.xs()
-    ys = spec.ys()
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    X, Y = np.meshgrid(spec.xs(), spec.ys(), indexing="xy", sparse=True)
     if spec.figure == "fig1":
         return fig1_flags(X, Y)
     return fig2_flags(X, Y)
@@ -186,20 +176,20 @@ def verify_scan_against_choi(spec: ScanSpec, count: int, seed: int) -> list:
     xs = rng.uniform(*spec.x_range, size=count)
     ys = rng.uniform(*spec.y_range, size=count)
     if spec.figure == "fig1":
-        t_cp, phi_cp = fig1_flags(xs, ys)
-        diags = np.zeros((count, 3, 3))
-        diags[:, [0, 1, 2], [0, 1, 2]] = np.stack([xs, xs, ys], axis=-1)
-        columns = [
-            ("t_cp", t_cp, choi_matrix_tensor_batch(diags, diags)),
-            ("phi_cp", phi_cp, choi_matrix_qubit_batch(2.0 * diags)),
-        ]
+        flags = fig1_flags(xs, ys)
+        rows = np.stack([xs, xs, ys], axis=-1)
+        # (column, family kind, parameter rows)
+        columns = [(0, "tdiag", rows), (1, "phi", 2.0 * rows)]
     else:
-        eye = np.eye(3)
-        chois = choi_matrix_tensor_batch(xs[:, None, None] * eye, ys[:, None, None] * eye)
-        columns = [("cp", fig2_flags(xs, ys)[0], chois)]
+        flags = fig2_flags(xs, ys)
+        columns = [(0, "tlm", np.stack([xs, ys], axis=-1))]
     decided = [
-        (name, flag, classify.choi_min_eigenvalues(chois) >= -DEFAULT.positivity)
-        for name, flag, chois in columns
+        (
+            spec.columns[c],
+            flags[c],
+            classify.choi_min_eigenvalues(FAMILIES[kind].choi(rows)) >= -DEFAULT.positivity,
+        )
+        for c, kind, rows in columns
     ]
     bad = []
     for k, (x, y) in enumerate(zip(xs, ys)):
@@ -324,6 +314,26 @@ def cmd_harness(args) -> int:
     return EXIT_OK if report.discrepancies == 0 else EXIT_VERIFY
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float greater than zero."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksq",
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one parameter point")
     p.add_argument("descriptor", help="phi:a,b,c | tdiag:a,b,c | tlm:a,b | tmat:<18 reals>")
     p.add_argument("--format", choices=("table", "json-lines"), default="table")
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=_int_at_least(1), default=20000)
     p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_classify)
 
@@ -345,21 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=401)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None)
-    p.add_argument("--verify-choi", type=int, default=0, metavar="K")
+    p.add_argument("--verify-choi", type=_int_at_least(0), default=0, metavar="K")
     p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("oracle", help="brute-force witness search")
     p.add_argument("descriptor")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--tol", type=float, default=DEFAULT.ks_violation)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT.ks_violation)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("harness", help="classifier-vs-oracle agreement scan")
     p.add_argument("--family", required=True)
     p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_harness)
 

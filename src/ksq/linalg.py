@@ -1,13 +1,14 @@
 """Dense complex matrix kernel for matrices up to 8x8.
 
-Products, adjoints, Kronecker products and Hermitian eigenvalues.  Two
-spectral routines live here.  ``batch_min_eigenvalue`` (closed form for
-2x2, LAPACK otherwise) is the production path: the sampling oracle, the
-numeric Choi test and the scan re-checks use it.  ``hermitian_eigenvalues``
-is an in-house cyclic Jacobi iteration on the real-symmetric embedding
-[[X, -Y], [Y, X]] of H = X + iY; it accepts stacks of matrices and is the
-reference solver that the spectrum fixtures, the agreement harness and
-the tests compare the fast path against.
+Adjoints, Kronecker products and Hermitian eigenvalues.  Two spectral
+routines live here.  ``batch_min_eigenvalue`` (closed form for 2x2,
+LAPACK otherwise) is the production path: the sampling oracle, the KS
+defect of a single input, the numeric Choi test, the agreement harness
+and the scan re-checks use it.  ``hermitian_eigenvalues`` is an in-house
+cyclic Jacobi iteration on the real-symmetric embedding [[X, -Y], [Y, X]]
+of H = X + iY; it accepts stacks of matrices and is only the reference
+solver that the spectrum fixtures and the tests compare the fast path
+against.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ def _as_square(a, max_dim: int = MAX_DIM) -> np.ndarray:
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product, requiring equal dimensions."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    return a @ b
 
 
 def adjoint(a) -> np.ndarray:
@@ -167,8 +159,9 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
 
     2x2 inputs use the closed form; larger ones fall back to LAPACK
     (np.linalg.eigvalsh).  Used by the sampling oracle where millions of
-    small defect matrices are scanned, and by the numeric Choi test;
-    agreement with the Jacobi solver is pinned by tests.
+    small defect matrices are scanned, by the single-input KS defect and
+    by the numeric Choi test; agreement with the Jacobi solver is pinned
+    by tests.
     """
     stack = np.asarray(stack, dtype=complex)
     n = stack.shape[-1]

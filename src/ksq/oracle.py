@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import classify, linalg
-from .channels import QubitChannel, TensorMap, choi_matrix_qubit_batch, choi_matrix_tensor_batch
+from . import channels, classify, linalg
+from .channels import QubitChannel, TensorMap
 from .pauli import PauliElement, star_square_coeffs
 from .tolerances import DEFAULT
 
@@ -213,109 +213,51 @@ class HarnessReport:
         self.details.append((kind, where, info))
 
 
-def _axis(grid: int, lo: float, hi: float) -> np.ndarray:
-    return np.linspace(lo, hi, grid)
-
-
 def agreement_harness(
     family: str, grid: int, cfg: SampleConfig = SampleConfig(), witness_floor: float = 1e-6
 ) -> HarnessReport:
     """Cross-validate the family classifiers against the oracle on a grid.
 
-    For exact criteria any mismatch counts as a discrepancy; sufficient
-    criteria route their inconclusive points through the oracle and count
-    them as resolved.
+    The grid spans the family's harness box in every parameter.  The CP
+    verdict of each point must match the sign of its Choi spectrum.  The
+    KS verdict is checked against the oracle unless it is INCONCLUSIVE,
+    which counts as resolved by the oracle: a verdict that holds must
+    leave the oracle clean, and one that fails needs an oracle witness
+    below -witness_floor.
     """
-    from .channels import DiagonalParams, DiagonalTensorParams, ScalarPairParams
-
+    fam = channels.FAMILIES.get(family)
+    if fam is None or fam.box is None:
+        boxed = ", ".join(k for k, f in channels.FAMILIES.items() if f.box is not None)
+        raise ValueError(f"unknown family {family!r} (expected one of {boxed})")
+    deciders = classify.DECIDERS[family]
     report = HarnessReport(family=family, grid=grid)
-    if family == "phi":
-        axis = _axis(grid, -1.0, 1.0)
-        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        # CP level: closed form vs Choi spectrum, fully vectorised
-        choi = choi_matrix_qubit_batch(
-            np.einsum("bk,kij->bij", pts, np.stack([np.diag(e) for e in np.eye(3)]))
-        )
-        min_eigs = linalg.hermitian_eigenvalues(choi)[:, 0]
-        for k, (l1, l2, l3) in enumerate(pts):
-            p = DiagonalParams(l1, l2, l3)
-            cp = classify.cp_phi_exact(p)
-            numeric_ok = min_eigs[k] >= -DEFAULT.positivity
-            if (cp.status is classify.Status.HOLDS_EXACT) != numeric_ok:
-                report.discrepancies += 1
-                report.note("cp", tuple(pts[k]), f"exact={cp.status} min_eig={min_eigs[k]:.3e}")
-            else:
+    axis = np.linspace(*fam.box, grid)
+    pts = np.stack(np.meshgrid(*[axis] * fam.arity, indexing="ij"), axis=-1).reshape(-1, fam.arity)
+    min_eigs = classify.choi_min_eigenvalues(fam.choi(pts))
+    for k, pt in enumerate(pts):
+        where = tuple(pt)
+        p = fam.params(pt)
+        m = fam.map(p)
+        cp = deciders.cp(p, m, DEFAULT, cfg)
+        if (cp.status is classify.Status.HOLDS_EXACT) != (min_eigs[k] >= -DEFAULT.positivity):
+            report.discrepancies += 1
+            report.note("cp", where, f"exact={cp.status.value} min_eig={min_eigs[k]:.3e}")
+        else:
+            report.agree += 1
+        ks = deciders.ks(p, m, DEFAULT, cfg)
+        if ks.status is classify.Status.INCONCLUSIVE:
+            report.resolved_by_oracle += 1
+            continue
+        wit = ks_violation_search(m, cfg)
+        if ks.holds:
+            if wit is None:
                 report.agree += 1
-            ks = classify.ks_phi_diag_exact(p)
-            wit = ks_violation_search(QubitChannel.diagonal(p), cfg)
-            if ks.status is classify.Status.HOLDS_EXACT:
-                if wit is None:
-                    report.agree += 1
-                else:
-                    report.discrepancies += 1
-                    report.note("ks", tuple(pts[k]), f"exact holds, oracle {wit.violation:.3e}")
             else:
-                if wit is not None and wit.violation < -witness_floor:
-                    report.agree += 1
-                else:
-                    report.discrepancies += 1
-                    report.note("ks", tuple(pts[k]), "exact fails, oracle found no witness")
-        return report
-
-    if family == "tdiag":
-        axis = _axis(grid, -0.5, 0.5)
-        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        diags = np.zeros((len(pts), 3, 3))
-        diags[:, [0, 1, 2], [0, 1, 2]] = pts
-        min_eigs = linalg.hermitian_eigenvalues(choi_matrix_tensor_batch(diags, diags))[:, 0]
-        res = classify.cp_tensor_diag_residuals(pts[:, 0], pts[:, 1], pts[:, 2])
-        exact_ok = np.all(res <= DEFAULT.positivity, axis=0)
-        numeric_ok = min_eigs >= -DEFAULT.positivity
-        for k in range(len(pts)):
-            if exact_ok[k] != numeric_ok[k]:
                 report.discrepancies += 1
-                report.note("cp", tuple(pts[k]), f"exact={exact_ok[k]} min_eig={min_eigs[k]:.3e}")
-            else:
-                report.agree += 1
-            p = DiagonalTensorParams(*pts[k])
-            ks = classify.ks_tensor_diag_sufficient(p)
-            if ks.status is classify.Status.HOLDS_SUFFICIENT:
-                wit = ks_violation_search(TensorMap.diagonal(p), cfg)
-                if wit is None:
-                    report.agree += 1
-                else:
-                    report.discrepancies += 1
-                    report.note("ks", tuple(pts[k]), f"sufficient holds, oracle {wit.violation:.3e}")
-            else:
-                report.resolved_by_oracle += 1
-        return report
-
-    if family == "tlm":
-        axis = _axis(grid, -1.0, 1.0)
-        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        eye = np.eye(3)
-        min_eigs = linalg.hermitian_eigenvalues(
-            choi_matrix_tensor_batch(pts[:, 0, None, None] * eye, pts[:, 1, None, None] * eye)
-        )[:, 0]
-        for k, (lam, mu) in enumerate(pts):
-            p = ScalarPairParams(lam, mu)
-            cp = classify.cp_tlm_exact(p)
-            numeric_ok = min_eigs[k] >= -DEFAULT.positivity
-            if (cp.status is classify.Status.HOLDS_EXACT) != numeric_ok:
-                report.discrepancies += 1
-                report.note("cp", (lam, mu), f"exact={cp.status} min_eig={min_eigs[k]:.3e}")
-            else:
-                report.agree += 1
-            ks = classify.ks_tlm_sufficient(p)
-            if ks.status is classify.Status.HOLDS_SUFFICIENT:
-                wit = ks_violation_search(TensorMap.scalar(p), cfg)
-                if wit is None:
-                    report.agree += 1
-                else:
-                    report.discrepancies += 1
-                    report.note("ks", (lam, mu), f"sufficient holds, oracle {wit.violation:.3e}")
-            else:
-                report.resolved_by_oracle += 1
-        return report
-
-    raise ValueError(f"unknown family {family!r} (expected phi, tdiag or tlm)")
+                report.note("ks", where, f"{ks.status.value}, oracle {wit.violation:.3e}")
+        elif wit is not None and wit.violation < -witness_floor:
+            report.agree += 1
+        else:
+            report.discrepancies += 1
+            report.note("ks", where, "closed form fails, oracle found no witness")
+    return report

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from ksq import linalg
+from ksq import classify, linalg
 from ksq.channels import (
+    FAMILIES,
     DescriptorError,
     DiagonalParams,
     DiagonalTensorParams,
@@ -320,3 +321,22 @@ def test_descriptor_roundtrip(text, kind):
 def test_descriptor_errors(text):
     with pytest.raises((DescriptorError, ValueError)):
         parse_descriptor(text)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_table_entry(kind):
+    fam = FAMILIES[kind]
+    values = [float(v) for v in np.linspace(-0.4, 0.3, fam.arity)]
+    got_kind, params = parse_descriptor(f"{kind}:" + ",".join(map(repr, values)))
+    assert got_kind == kind
+    assert [float(v) for v in fam.values(params)] == values
+    again_kind, again = parse_descriptor(format_descriptor(kind, params))
+    assert again_kind == kind
+    assert [float(v) for v in fam.values(again)] == values
+    # the Choi-stack builder agrees with the single-map Choi matrix of the map builder
+    m = map_for_descriptor(kind, params)
+    single = choi_matrix_qubit(m) if m.out_dim == 2 else choi_matrix_tensor(m)
+    assert np.allclose(fam.choi(np.array([values]))[0], single, atol=1e-15)
+    assert kind in classify.DECIDERS
+    with pytest.raises(DescriptorError, match=f"needs {fam.arity} values"):
+        parse_descriptor(f"{kind}:" + ",".join(["0.1"] * (fam.arity + 1)))

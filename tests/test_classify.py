@@ -15,7 +15,6 @@ from ksq.channels import (
 from ksq.classify import (
     DiagKsTerms,
     Status,
-    TensorKsTerms,
     cp_choi_numeric,
     cp_phi_exact,
     cp_tensor_diag_exact,
@@ -25,7 +24,6 @@ from ksq.classify import (
     diag_ks_residuals,
     ks_defect_min_eig,
     ks_phi_diag_exact,
-    ks_phi_general,
     ks_phi_scalar_interval,
     ks_tensor_diag_sufficient,
     ks_tensor_sufficient,
@@ -180,20 +178,6 @@ def test_diag_ks_terms_record():
     assert t.C == pytest.approx(0.09)
 
 
-def test_ks_phi_general():
-    assert ks_phi_general(QubitChannel.identity(), 500, seed=3).status is Status.HOLDS_SUFFICIENT
-    tri = ks_phi_general(QubitChannel.diagonal(DiagonalParams(1, -1, 1)), 500, seed=3)
-    assert tri.status is Status.FAILS
-    tri = ks_phi_general(QubitChannel.diagonal(DiagonalParams(0.6, 0.5, 0.0)), 5000, seed=3)
-    assert tri.status is Status.HOLDS_SUFFICIENT
-
-
-def test_ks_phi_general_norm_violation():
-    tri = ks_phi_general(QubitChannel(np.diag([1.5, 0.0, 0.0])), 500, seed=3)
-    assert tri.status is Status.FAILS
-    assert "contraction" in tri.note
-
-
 # --- tensor positivity ------------------------------------------------------
 
 
@@ -263,18 +247,23 @@ def test_ks_tensor_diag_sufficient_cases():
     )
 
 
-def test_tensor_ks_terms_record():
-    t = TensorKsTerms.from_params(DiagonalTensorParams(0.5, -0.5, 0.5))
-    assert t.A1 == pytest.approx(1.0)  # |0.5 - 2*(-0.25)|^2
-    assert t.B1 == pytest.approx(0.0)
-
-
 def test_ks_tlm_sufficient_cases():
     assert ks_tlm_sufficient(ScalarPairParams(0, 0)).status is Status.HOLDS_SUFFICIENT
     assert ks_tlm_sufficient(ScalarPairParams(0.5, 0.5)).status is Status.HOLDS_SUFFICIENT
     tri = ks_tlm_sufficient(ScalarPairParams(0.5, -0.3))
     assert tri.status is Status.INCONCLUSIVE
     assert "0.48" in tri.note and "0.32" in tri.note
+
+
+def test_ks_tlm_component_rule():
+    # just outside the corner (-1/4, -1/4) the scalar inequality fails by more
+    # than its slack while both components stay in [-1/4, 1/2] within theirs
+    p = ScalarPairParams(-0.25 - 5e-10, -0.25 - 5e-10)
+    assert ks_tlm_sufficient(p).status is Status.INCONCLUSIVE
+    tri = classify.ks_tlm(p)
+    assert tri.status is Status.HOLDS_SUFFICIENT and "components" in tri.note
+    assert classify.ks_tlm(ScalarPairParams(0.5, -0.3)).status is Status.INCONCLUSIVE
+    assert classify.ks_tlm(ScalarPairParams(0.5, 0.5)).note.startswith("scalar KS inequality holds")
 
 
 def test_scalar_ks_implies_tensor_ks(rng):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksq import classify, cli
 from ksq.channels import (
@@ -54,6 +56,27 @@ def test_classify_out_of_range_exits_2(capsys):
     assert run(["classify", "phi:not,a,number"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "phi:0.6,0.5,0.0", "--samples", "0"],
+        ["oracle", "phi:1,1,1", "--samples", "0"],
+        ["oracle", "phi:1,1,1", "--tol", "-1"],
+        ["harness", "--family", "phi", "--grid", "3", "--samples", "0"],
+        ["scan", "--figure", "fig1", "--grid", "4", "--verify-choi", "-3", "--out"],
+    ],
+    ids=["classify-samples", "oracle-samples", "oracle-tol", "harness-samples", "scan-verify-choi"],
+)
+def test_bad_numbers_exit_2(tmp_path, capsys, argv):
+    # exit 1 means "witness found", so a bad number must not surface as a crash
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "scan.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # --- scan -------------------------------------------------------------------
 
 
@@ -81,6 +104,67 @@ def test_fig2_flag_fixtures():
     assert bool(ks) and not bool(comps)  # KS holds outside the component square
     cp, ks, comps = fig2_flags(1.0, 1.0)
     assert not bool(cp)
+
+
+# property tests: every flag column equals the per-point decider, on
+# points inside the figure box, uniform or within 1e-6 of a boundary curve
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+NEAR = st.floats(-1e-6, 1e-6)
+
+
+@st.composite
+def fig1_points(draw):
+    b = draw(st.floats(-0.5, 0.5))
+    curves = [np.sqrt((1 + 2 * b) / 8), (1 + 2 * b) / 4]  # t_cp and phi_cp
+    curve = draw(st.sampled_from([None] + curves))
+    if curve is None:
+        return draw(st.floats(-0.5, 0.5)), b
+    a = draw(st.sampled_from([1.0, -1.0])) * curve + draw(NEAR)
+    return float(np.clip(a, -0.5, 0.5)), b
+
+
+def _fig2_curves(lam):
+    """Values of mu on the boundary curves of the fig2 columns at lam."""
+    curves = [1.0 - lam, -0.25, 0.5]  # lam + mu = 1, component square
+    if 3 * lam + 1 >= 0:  # lam + mu + 1 = 2 sqrt(lam^2 - lam mu + mu^2)
+        r = 2 * np.sqrt(3 * lam + 1)
+        curves += [(3 * lam + 1 + r) / 3, (3 * lam + 1 - r) / 3]
+    g = abs(lam) * abs(1 - 2 * lam) + 2 * lam * lam
+    c = 1.0 - g  # the KS-sufficient boundary is g(lam) + g(mu) = 1
+    if c >= 0:
+        curves += [(1 - np.sqrt(1 + 16 * c)) / 8, c if c <= 0.5 else (1 + np.sqrt(1 + 16 * c)) / 8]
+    return curves
+
+
+@st.composite
+def fig2_points(draw):
+    lam = draw(st.floats(-1.0, 1.0))
+    curve = draw(st.sampled_from([None] + _fig2_curves(lam)))
+    mu = draw(st.floats(-1.0, 1.0)) if curve is None else float(np.clip(curve + draw(NEAR), -1, 1))
+    return (mu, lam) if draw(st.booleans()) else (lam, mu)
+
+
+@PROPERTY
+@given(fig1_points())
+def test_fig1_flags_match_deciders(point):
+    a, b = point
+    t_cp, phi_cp = fig1_flags(np.array([a]), np.array([b]))[:, 0]
+    tensor = classify.cp_tensor_diag_exact(DiagonalTensorParams(a, a, b))
+    channel = classify.cp_phi_exact(DiagonalParams(2 * a, 2 * a, 2 * b))
+    assert t_cp == (tensor.status is classify.Status.HOLDS_EXACT)
+    assert phi_cp == (channel.status is classify.Status.HOLDS_EXACT)
+
+
+@PROPERTY
+@given(fig2_points())
+def test_fig2_flags_match_deciders(point):
+    lam, mu = point
+    cp, ks, comps = fig2_flags(np.array([lam]), np.array([mu]))[:, 0]
+    p = ScalarPairParams(lam, mu)
+    assert cp == (classify.cp_tlm_exact(p).status is classify.Status.HOLDS_EXACT)
+    assert ks == (classify.ks_tlm_sufficient(p).status is classify.Status.HOLDS_SUFFICIENT)
+    in_square = [classify.ks_phi_scalar_interval(v).status for v in (lam, mu)]
+    assert comps == (in_square == [classify.Status.HOLDS_EXACT] * 2)
 
 
 def test_scan_csv_format(tmp_path):
@@ -222,6 +306,28 @@ def test_batched_verify_matches_per_point_choi(monkeypatch, figure):
     assert verify_scan_against_choi(spec, 200, seed=17) == []
     monkeypatch.setattr(cli, flag_name, lambda a, b: ~per_point(a, b))
     assert len(verify_scan_against_choi(spec, 200, seed=17)) == 200 * {"fig1": 2, "fig2": 1}[figure]
+
+
+# sha256 of the 401^2 CSV and PGM of each figure
+SCAN_401_SHA256 = {
+    "fig1": (
+        "5da14b58b6a795f1c3faab1c3e82b87049e138bd524df67a30478be9daef0b4b",
+        "0be90db253cf8b80abed5e57ffecf68bc82fecb3343128a7e838f546ba9a5e57",
+    ),
+    "fig2": (
+        "1c865520afe2a031d2d65aa1e4a3c383ba5891e41ac2e6d0f3db6ff4d905f385",
+        "58ab1330ecac6d5f6bd22ccaef5a26df2f8b1698bd0f1d69ceaa38da4c559cd3",
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_scan_401_output_hashes(tmp_path, figure):
+    csv, pgm = tmp_path / "scan.csv", tmp_path / "scan.pgm"
+    argv = ["scan", "--figure", figure, "--grid", "401", "--out", str(csv), "--pgm", str(pgm)]
+    assert run(argv) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, pgm))
+    assert digests == SCAN_401_SHA256[figure]
 
 
 def test_scan_unwritable_path_exits_3(tmp_path):

@@ -11,25 +11,16 @@ I4 = np.eye(4, dtype=complex)
 S1, S2, S3 = SIGMA
 
 
-def test_mat_mul_identity():
-    assert np.array_equal(linalg.mat_mul(I2, S1), S1)
-
-
 def test_mat_mul_pauli_relation():
-    assert np.allclose(linalg.mat_mul(S1, S2), 1j * S3, atol=1e-15)
+    assert np.allclose(S1 @ S2, 1j * S3, atol=1e-15)
 
 
 def test_mat_mul_adjoint_antihomomorphism(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    left = linalg.adjoint(linalg.mat_mul(a, b))
-    right = linalg.mat_mul(linalg.adjoint(b), linalg.adjoint(a))
+    left = linalg.adjoint(a @ b)
+    right = linalg.adjoint(b) @ linalg.adjoint(a)
     assert np.max(np.abs(left - right)) < 1e-14
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        linalg.mat_mul(I2, I4)
 
 
 def test_adjoint_hermitian_fixed_points():

@@ -164,9 +164,21 @@ def test_harness_tlm_small():
     assert report.discrepancies == 0, report.details[:5]
 
 
+@pytest.mark.parametrize(
+    "family,grid,counts",
+    [("phi", 3, (54, 0, 0)), ("tdiag", 3, (38, 16, 0)), ("tlm", 5, (29, 21, 0))],
+)
+def test_harness_counts(family, grid, counts):
+    # (agree, resolved_by_oracle, discrepancies) at 10^4 samples, seed 7
+    report = agreement_harness(family, grid, SampleConfig(n_samples=10000, seed=7))
+    assert (report.agree, report.resolved_by_oracle, report.discrepancies) == counts
+
+
 def test_harness_unknown_family():
     with pytest.raises(ValueError, match="family"):
         agreement_harness("nope", 5)
+    with pytest.raises(ValueError, match="family"):
+        agreement_harness("tmat", 2)  # no harness box
 
 
 def test_tensor_ks_without_component_ks():
