@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harness", help="classifier-vs-oracle agreement scan")
     p.add_argument("--family", required=True)
-    p.add_argument("--grid", type=int, default=11)
+    p.add_argument("--grid", type=_int_at_least(1), default=11)
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_harness)

@@ -23,6 +23,12 @@ class Tolerances:
                   sweep stops
     pair_gap    : relative gap allowed when de-duplicating the doubled
                   spectrum of the real-symmetric embedding
+    defect_hermiticity: relative max-entry deviation |D - D*| accepted in a
+                  block of the oracle's KS defects D
+    shift_reduction: largest change of the smallest defect eigenvalue under
+                  x -> x + t*1 for which the oracle samples only w0 = 0
+    linearity   : relative max-entry deviation accepted between a map's
+                  evaluate_batch and its Pauli-basis template contraction
     """
 
     hermiticity: float = 1e-10
@@ -32,6 +38,9 @@ class Tolerances:
     unitarity: float = 1e-10
     jacobi_off: float = 1e-14
     pair_gap: float = 1e-8
+    defect_hermiticity: float = 1e-12
+    shift_reduction: float = 1e-8
+    linearity: float = 1e-12
 
 
 DEFAULT = Tolerances()

@@ -98,13 +98,13 @@ def test_criterion_3_diag_ks_vs_oracle_grid():
     axis = np.linspace(-1.0, 1.0, 21)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     cfg = SampleConfig(n_samples=10000, seed=7, tol=1e-8)
+    params = [DiagonalParams(l1, l2, l3) for l1, l2, l3 in pts]
+    channels = [QubitChannel.diagonal(p) for p in params]
+    witnesses = oracle.ks_violation_search_many(channels, cfg)
     anomalies = []
     n_holds = n_fails = n_unwitnessed = 0
-    for l1, l2, l3 in pts:
-        p = DiagonalParams(l1, l2, l3)
-        ch = QubitChannel.diagonal(p)
+    for p, ch, wit in zip(params, channels, witnesses):
         verdict = classify.ks_phi_diag_exact(p)
-        wit = ks_violation_search(ch, cfg)
         if verdict.status is classify.Status.HOLDS_EXACT:
             n_holds += 1
             if wit is not None:
@@ -205,23 +205,6 @@ def test_criterion_6_figure1_regions():
                f"({elapsed:.1f}s)")
 
 
-def _tlm_defect_templates(w):
-    """Per-sample matrices making the scalar-family KS defect linear in
-    (1 - lam^2 - mu^2, lam(1-lam), mu(1-mu), -lam*mu)."""
-    n = w.shape[0]
-    v = (-1j * np.cross(w, np.conj(w))).real
-    zeros = np.zeros(n, dtype=complex)
-    m_v1 = tensor_to_matrix_batch(zeros, v.astype(complex), np.zeros_like(v, dtype=complex))
-    m_v2 = tensor_to_matrix_batch(zeros, np.zeros_like(v, dtype=complex), v.astype(complex))
-    ws = to_matrix_batch(zeros, w)
-    wsc = to_matrix_batch(zeros, np.conj(w))
-    cross = np.einsum("nij,nkl->nikjl", wsc, ws).reshape(n, 4, 4) + np.einsum(
-        "nij,nkl->nikjl", ws, wsc
-    ).reshape(n, 4, 4)
-    eye = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
-    return eye, m_v1, m_v2, cross
-
-
 def test_criterion_7_figure2_regions():
     spec = ScanSpec.for_figure("fig2", 401)
     flags = scan_flags(spec)
@@ -241,30 +224,17 @@ def test_criterion_7_figure2_regions():
     probes = classify.ks_probe_vectors()
     probes = probes / np.linalg.norm(probes, axis=1)[:, None]
     w = np.concatenate([probes, oracle.sample_unit_sphere(10000, seed=7)])
-    eye, m_v1, m_v2, cross = _tlm_defect_templates(w)
+    maps = [TensorMap.scalar(ScalarPairParams(float(lam), float(mu))) for lam, mu in zip(lams, mus)]
     tol = 1e-8
     dirty = []
-    chunk = 2048
-    for lam, mu in zip(lams, mus):
-        coeffs = (1 - lam * lam - mu * mu, lam * (1 - lam), mu * (1 - mu), -lam * mu)
-        clean = True
-        for lo in range(0, len(w), chunk):
-            hi = min(len(w), lo + chunk)
-            d = (
-                coeffs[0] * eye[lo:hi]
-                + coeffs[1] * m_v1[lo:hi]
-                + coeffs[2] * m_v2[lo:hi]
-                + coeffs[3] * cross[lo:hi]
-            )
-            shifted = d + tol * np.eye(4)
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                if np.linalg.eigvalsh(d)[:, 0].min() < -tol:
-                    clean = False
-                    break
-        if not clean:
-            dirty.append((lam, mu))
+    group = 8
+    for lo in range(0, len(maps), group):
+        d = oracle.ks_defects(maps[lo : lo + group], 0.0, w)
+        try:
+            np.linalg.cholesky(d + tol * np.eye(4))
+        except np.linalg.LinAlgError:
+            lows = np.linalg.eigvalsh(d)[..., 0].min(axis=0)
+            dirty += [(lams[lo + j], mus[lo + j]) for j in np.flatnonzero(lows < -tol)]
     assert dirty == [], dirty[:5]
 
     # tie the vectorised screen to the literal oracle on a subsample

@@ -63,9 +63,14 @@ def test_classify_out_of_range_exits_2(capsys):
         ["oracle", "phi:1,1,1", "--samples", "0"],
         ["oracle", "phi:1,1,1", "--tol", "-1"],
         ["harness", "--family", "phi", "--grid", "3", "--samples", "0"],
+        ["harness", "--family", "phi", "--grid", "0"],
+        ["harness", "--family", "phi", "--grid", "-1"],
         ["scan", "--figure", "fig1", "--grid", "4", "--verify-choi", "-3", "--out"],
     ],
-    ids=["classify-samples", "oracle-samples", "oracle-tol", "harness-samples", "scan-verify-choi"],
+    ids=[
+        "classify-samples", "oracle-samples", "oracle-tol", "harness-samples", "harness-grid-0",
+        "harness-grid-negative", "scan-verify-choi",
+    ],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     # exit 1 means "witness found", so a bad number must not surface as a crash
