@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import pauli
-from .linalg import adjoint
+from .linalg import adjoint, thin_matmul
 from .pauli import ID2, PauliElement, from_matrix, to_matrix, to_matrix_batch
 from .tolerances import DEFAULT
 
@@ -120,7 +120,7 @@ class QubitChannel:
 
     def evaluate_batch(self, w0, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
-        return to_matrix_batch(w0, w @ self.T.T)
+        return to_matrix_batch(w0, thin_matmul(w, self.T.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +149,7 @@ class TensorMap:
 
     def evaluate_batch(self, w0, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
-        return pauli.tensor_to_matrix_batch(w0, w @ self.A.T, w @ self.C.T)
+        return pauli.tensor_to_matrix_batch(w0, thin_matmul(w, self.A.T), thin_matmul(w, self.C.T))
 
 
 def split_phi_psi(m: TensorMap) -> tuple[QubitChannel, QubitChannel]:

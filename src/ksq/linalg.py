@@ -1,6 +1,7 @@
 """Dense complex matrix kernel for matrices up to 8x8.
 
-Adjoints, Kronecker products and Hermitian eigenvalues.  Two spectral
+Adjoints, Kronecker products, thin matrix products and Hermitian
+eigenvalues.  Two spectral
 routines live here.  ``batch_min_eigenvalue`` (closed form for 2x2,
 LAPACK otherwise) is the production path: the sampling oracle, the KS
 defect of a single input, the numeric Choi test, the agreement harness
@@ -20,6 +21,31 @@ from .tolerances import DEFAULT
 
 MAX_DIM = 8
 _JACOBI_SWEEPS = 50
+
+# OpenBLAS runs a matrix product on the calling thread while m*n*k is small:
+# up to 2**16 for complex operands, and past 2**18 for real ones
+# (scipy-openblas 0.3.31).  A larger product wakes its thread pool; for the
+# thin products here the hand-off costs more than the arithmetic, and it
+# waits as long as the other cores are busy, so run times stop repeating.
+_ONE_THREAD_MNK = 1 << 18
+
+
+def thin_matmul(a, b) -> np.ndarray:
+    """a @ b for a tall stack a (..., k) and a small matrix b (k, n).
+
+    The rows of a go through BLAS in slices small enough to stay on the
+    calling thread (see _ONE_THREAD_MNK).
+    """
+    a = np.asarray(a)
+    dtype = np.result_type(a, b)
+    b = np.ascontiguousarray(b, dtype=dtype)
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), b.shape[1]), dtype=dtype)
+    weight = 4 if np.iscomplexobj(out) else 1
+    step = max(1, _ONE_THREAD_MNK // (weight * b.size))
+    for lo in range(0, len(rows), step):
+        np.matmul(rows[lo : lo + step], b, out=out[lo : lo + step])
+    return out.reshape(a.shape[:-1] + (b.shape[1],))
 
 
 def _as_square(a, max_dim: int = MAX_DIM) -> np.ndarray:

@@ -146,7 +146,8 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray) -> np.ndarray:
     map(x*x) - map(x)* map(x).  LinAlgError when the block is not
     Hermitian, as for a map that does not preserve adjoints.
     """
-    defect = (mono @ templates.view(float)).view(complex).reshape(len(mono), -1, d, d)
+    defect = linalg.thin_matmul(mono, templates.view(float)).view(complex)
+    defect = defect.reshape(len(mono), -1, d, d)
     # |D - D*| entry by entry: twice the imaginary diagonal, then each pair
     # i < j once, which is cheaper than transposing the whole block
     dev = 2.0 * np.max(np.abs(np.diagonal(defect, axis1=-2, axis2=-1).imag))

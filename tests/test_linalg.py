@@ -126,3 +126,26 @@ def test_batch_min_eigenvalue_matches_jacobi(rng):
 
 def test_zero_matrix():
     assert np.allclose(linalg.hermitian_eigenvalues(np.zeros((3, 3), dtype=complex)), 0.0)
+
+
+@pytest.mark.parametrize("complex_a", [False, True])
+@pytest.mark.parametrize("shape, k, n", [((9000,), 3, 3), ((7, 1300), 3, 3), ((8192,), 20, 32), ((5,), 20, 864)])
+def test_thin_matmul_matches_matmul_in_one_thread_slices(rng, monkeypatch, complex_a, shape, k, n):
+    a = rng.normal(size=shape + (k,))
+    if complex_a:
+        a = a + 1j * rng.normal(size=a.shape)
+    b = rng.normal(size=(k, n))
+    expected = a @ b
+    products = []
+    matmul = np.matmul
+
+    def recording(x, y, **kw):
+        products.append((x.shape[0] * y.size, np.iscomplexobj(x) or np.iscomplexobj(y)))
+        return matmul(x, y, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    got = linalg.thin_matmul(a, b)
+    monkeypatch.undo()
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.allclose(got, expected, rtol=1e-13, atol=1e-12)
+    assert all(mnk * (4 if cplx else 1) <= linalg._ONE_THREAD_MNK for mnk, cplx in products)
