@@ -19,11 +19,12 @@ the scalar family) while violating all three inequalities.  When they do
 not hold, ``ks_phi_diag_exact`` therefore falls back to an exact
 evaluation of the worst-case defect
 
-    sup_w ||T[w, conj w] - [Tw, conj(Tw)]|| - (||w||^2 - ||Tw||^2)
+    sup_w ||T[w, conj w] - [Tw, conj(Tw)]|| - (||w||^2 - ||Tw||^2).
 
-reduced to a deterministic two-dimensional maximisation: for fixed
-moduli n_k = |w_k|^2 the supremum over phases has a closed form (the
-frustrated three-cosine minimum), leaving a search over the simplex.
+For fixed moduli n_k = |w_k|^2 the supremum over phases has a closed
+form, and ``diag_ks_defect_supremum`` maximises the result over the
+moduli exactly: it is the largest of four quadratic forms, each
+maximised over a triangle by enumerating its KKT points.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def all_hold(res, tol: float = DEFAULT.positivity):
 
 @dataclass(frozen=True)
 class DiagKsTerms:
-    """Intermediate quantities of the diagonal KS inequalities."""
+    """Intermediate quantities of the diagonal KS inequalities, for one
+    DiagonalParams or (as arrays) for an (..., 3) stack of parameters."""
 
     alpha: float
     beta: float
@@ -105,15 +107,17 @@ class DiagKsTerms:
     C: float
 
     @classmethod
-    def from_params(cls, p: DiagonalParams) -> "DiagKsTerms":
-        l1, l2, l3 = p.lam1, p.lam2, p.lam3
+    def from_params(cls, p) -> "DiagKsTerms":
+        lams = p.as_array() if isinstance(p, DiagonalParams) else np.asarray(p, dtype=float)
+        l1, l2, l3 = lams[..., 0], lams[..., 1], lams[..., 2]
+        d1, d2, d3 = l1 - l2 * l3, l2 - l1 * l3, l3 - l1 * l2
         return cls(
             alpha=abs(1.0 - l1 * l1),
             beta=abs(1.0 - l2 * l2),
             gamma=abs(1.0 - l3 * l3),
-            A=abs(l1 - l2 * l3) ** 2,
-            B=abs(l2 - l1 * l3) ** 2,
-            C=abs(l3 - l1 * l2) ** 2,
+            A=d1 * d1,
+            B=d2 * d2,
+            C=d3 * d3,
         )
 
 
@@ -137,139 +141,126 @@ def diag_ks_residuals(l1: float, l2: float, l3: float) -> np.ndarray:
 def _phase_supremum(a1, a2, a3):
     """sup over phases d1, d2 of a1 sin^2 d1 + a2 sin^2 d2 + a3 sin^2(d1+d2).
 
-    Collinear phase patterns realise the sum of the two largest weights;
-    an interior stationary configuration exists when the reciprocals of
-    the weights satisfy the triangle inequality and then contributes
-    (s + (a1^2 a2^2 + a2^2 a3^2 + a3^2 a1^2) / (2 a1 a2 a3)) / 2.
-    All arguments broadcast.
+    Returns (sup, d1, d2) with phases attaining it; all arguments
+    broadcast.  Collinear phases put sin^2 = 1 on the two largest weights.
+    When the weights are positive and their reciprocals satisfy the
+    triangle inequality, the interior pattern 2 d_k = pi - Theta_k competes,
+    Theta_k being the angle opposite side 1/a_k of the triangle with sides
+    1/a1, 1/a2, 1/a3; it is worth (s + a1 a2/a3 + a2 a3/a1 + a3 a1/a2) / 2.
     """
-    a1, a2, a3 = np.broadcast_arrays(
-        np.asarray(a1, dtype=float), np.asarray(a2, dtype=float), np.asarray(a3, dtype=float)
-    )
     s = a1 + a2 + a3
     pair = s - np.minimum(a1, np.minimum(a2, a3))
-    valid = (
-        (a1 * a2 <= a3 * (a1 + a2))
-        & (a1 * a3 <= a2 * (a1 + a3))
-        & (a2 * a3 <= a1 * (a2 + a3))
-        & (a1 > 0)
-        & (a2 > 0)
-        & (a3 > 0)
-    )
-    prod = np.where(valid, a1 * a2 * a3, 1.0)
-    inner = (a1 * a1 * a2 * a2 + a2 * a2 * a3 * a3 + a3 * a3 * a1 * a1) / (2.0 * prod)
-    return np.where(valid, np.maximum(0.5 * (s + inner), pair), pair)
+    valid = (a1 * a2 <= a3 * (a1 + a2)) & (a1 * a3 <= a2 * (a1 + a3)) & (a2 * a3 <= a1 * (a2 + a3))
+    valid &= (a1 > 0) & (a2 > 0) & (a3 > 0)
+    # ratios, so that tiny weights do not underflow
+    b1, b2, b3 = (np.where(valid, a, 1.0) for a in (a1, a2, a3))
+    interior = 0.5 * (s + 0.5 * (b1 * b2 / b3 + b2 * b3 / b1 + b3 * b1 / b2))
+    use = valid & (interior > pair)
+    cos1 = np.clip(0.5 * (b3 / b2 + b2 / b3 - (b2 / b1) * (b3 / b1)), -1.0, 1.0)
+    cos2 = np.clip(0.5 * (b3 / b1 + b1 / b3 - (b1 / b2) * (b3 / b2)), -1.0, 1.0)
+    # collinear: dropping a1 is (0, pi/2), a2 is (pi/2, 0), a3 is (pi/2, pi/2)
+    drop1, drop2 = (a1 <= a2) & (a1 <= a3), (a2 < a1) & (a2 <= a3)
+    d1 = np.where(use, 0.5 * (np.pi - np.arccos(cos1)), np.where(drop1, 0.0, 0.5 * np.pi))
+    d2 = np.where(use, 0.5 * (np.pi - np.arccos(cos2)), np.where(drop2, 0.0, 0.5 * np.pi))
+    return np.where(use, interior, pair), d1, d2
 
 
-def _diag_defect_value(terms: DiagKsTerms, n: np.ndarray) -> np.ndarray:
-    """Worst squared-bracket mass minus squared gain at moduli n (>=0 fails KS)."""
-    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
-    f = _phase_supremum(
-        4.0 * terms.A * n2 * n3, 4.0 * terms.B * n1 * n3, 4.0 * terms.C * n1 * n2
-    )
-    gain = terms.alpha * n1 + terms.beta * n2 + terms.gamma * n3
-    return f - gain * gain
+def _matmul3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of 3x3 matrices, summed elementwise in a fixed order
+    so that a stacked product is bit-identical to the same product alone."""
+    return sum(x[..., :, j, None] * y[..., None, j, :] for j in range(3))
 
 
-def _simplex_grid(resolution: int) -> np.ndarray:
-    i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
-    keep = (i + j) <= resolution
-    n1 = i[keep] / resolution
-    n2 = j[keep] / resolution
-    return np.stack([n1, n2, 1.0 - n1 - n2], axis=-1)
+def _max_on_simplex(Q: np.ndarray):
+    """(max, argmax) of b^T Q b on the simplex b >= 0, b1 + b2 + b3 = 1.
+
+    Q is a stack (..., 3, 3) of symmetric matrices.  The maximiser is a KKT
+    point of the face it lies in: a vertex, the stationary point of an edge
+    (clipped to the edge), or the interior stationary point
+    adj(Q) 1 / (1^T adj(Q) 1) if it lies in the simplex.  A face whose
+    stationary points form a line is skipped; q is constant along that
+    line, so a smaller face attains the same value.
+    """
+    b = np.zeros(Q.shape[:-2] + (7, 3))
+    b[..., (0, 1, 2), (0, 1, 2)] = 1.0
+    for c, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+        den = Q[..., i, i] + Q[..., j, j] - 2.0 * Q[..., i, j]
+        t = np.divide(Q[..., j, j] - Q[..., i, j], den, out=np.zeros_like(den), where=den < 0)
+        b[..., c, i] = np.clip(t, 0.0, 1.0)
+        b[..., c, j] = 1.0 - b[..., c, i]
+    # row k of adj(Q) is the cross product of rows k + 1 and k + 2 of Q
+    r1, r2 = Q[..., [1, 2, 0], :], Q[..., [2, 0, 1], :]
+    u = sum(r1[..., i] * r2[..., j] - r1[..., j] * r2[..., i] for i, j in ((1, 2), (2, 0), (0, 1)))
+    total = (u[..., 0] + u[..., 1] + u[..., 2])[..., None]
+    b[..., 6, :] = np.divide(u, total, out=np.full_like(u, -1.0), where=total != 0)
+    qb = _matmul3(b, Q)
+    value = b[..., 0] * qb[..., 0] + b[..., 1] * qb[..., 1] + b[..., 2] * qb[..., 2]
+    value[..., 6] = np.where(np.all(b[..., 6, :] >= 0.0, axis=-1), value[..., 6], -np.inf)
+    k = np.argmax(value, axis=-1)
+    return np.max(value, axis=-1), np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
 
 
-def _refine_simplex(fun, n0: np.ndarray, width: float, rounds: int = 8, res: int = 20):
-    """Shrinking local grid refinement of fun around n0 on the 2-simplex."""
-    n = n0.copy()
-    best = float(fun(n[None, :])[0])
-    for _ in range(rounds):
-        t = np.linspace(-width, width, 2 * res + 1)
-        d1, d2 = np.meshgrid(t, t, indexing="ij")
-        n1 = np.clip(n[0] + d1.ravel(), 0.0, 1.0)
-        n2 = np.clip(n[1] + d2.ravel(), 0.0, 1.0)
-        keep = n1 + n2 <= 1.0
-        cand = np.stack([n1[keep], n2[keep], 1.0 - n1[keep] - n2[keep]], axis=-1)
-        vals = fun(cand)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            n = cand[k]
-        width /= float(res) / 2.0
-    return best, n
+# _THIRD[i, j] = k for the weight a_k = 4 K_k n_i n_j of the moduli pair (i, j), K = (A, B, C)
+_THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
-def diag_ks_defect_supremum(p: DiagonalParams, resolution: int = 160):
+def diag_ks_defect_supremum(p):
     """Exact worst case of the KS defect for a diagonal channel.
 
-    Returns (sup, n) where sup is the supremum over unit-norm inputs of
-    LHS^2 - RHS^2 of the bracket inequality (positive means the channel
-    is not Kadison-Schwarz) and n the maximising moduli.
+    p is a DiagonalParams, or an (..., 3) array of (lam1, lam2, lam3).
+    Returns (sup, n): sup is the supremum over unit-norm inputs of LHS^2 -
+    RHS^2 of the bracket inequality (positive means the channel is not
+    Kadison-Schwarz), n the maximising moduli; a float and a (3,) array
+    for DiagonalParams, stacked per point (bit for bit) otherwise.
+
+    At moduli n the worst phases give _phase_supremum(a) - gain^2, with
+    a1 = 4A n2 n3, a2 = 4B n1 n3, a3 = 4C n1 n2.  That is the largest of
+    four quadratic forms in n: the pair sums s - a_k - gain^2 on the whole
+    simplex, and s/2 + BC n1^2/A + CA n2^2/B + AB n3^2/C - gain^2 where its
+    triangle condition holds, which is linear in n (e.g. AB n3 <= C(A n2 +
+    B n1)) and cuts out the triangle with vertices (0, B, C)/(B + C),
+    (A, 0, C)/(A + C), (A, B, 0)/(A + B).  _max_on_simplex maximises each
+    form in barycentric coordinates of its triangle.
     """
-    terms = DiagKsTerms.from_params(p)
-    grid = _simplex_grid(resolution)
-    vals = _diag_defect_value(terms, grid)
-    order = np.argsort(vals)[::-1][:4]
-    best, best_n = -np.inf, grid[order[0]]
-    for idx in order:
-        val, n = _refine_simplex(
-            lambda m: _diag_defect_value(terms, m), grid[idx], width=1.5 / resolution
-        )
-        if val > best:
-            best, best_n = val, n
-    return best, best_n
-
-
-def _phases_for_witness(terms: DiagKsTerms, n: np.ndarray) -> np.ndarray:
-    """Phase differences realising (numerically) the inner phase supremum."""
-    a = np.array(
-        [4.0 * terms.A * n[1] * n[2], 4.0 * terms.B * n[0] * n[2], 4.0 * terms.C * n[0] * n[1]]
-    )
-
-    def val(d):
-        return (
-            a[0] * math.sin(d[0]) ** 2
-            + a[1] * math.sin(d[1]) ** 2
-            + a[2] * math.sin(d[0] + d[1]) ** 2
-        )
-
-    t = np.linspace(0.0, np.pi, 48)
-    d1, d2 = np.meshgrid(t, t, indexing="ij")
-    v = (
-        a[0] * np.sin(d1) ** 2
-        + a[1] * np.sin(d2) ** 2
-        + a[2] * np.sin(d1 + d2) ** 2
-    )
-    k = np.unravel_index(np.argmax(v), v.shape)
-    d = np.array([d1[k], d2[k]])
-    step = float(t[1] - t[0])
-    for _ in range(60):
-        improved = False
-        for delta in (np.array([step, 0]), np.array([-step, 0]), np.array([0, step]), np.array([0, -step])):
-            cand = d + delta
-            if val(cand) > val(d) + 1e-18:
-                d, improved = cand, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return d
+    t = DiagKsTerms.from_params(p)
+    K = np.stack([t.A, t.B, t.C], axis=-1)
+    c = np.stack([t.alpha, t.beta, t.gamma], axis=-1)
+    gain2 = c[..., :, None] * c[..., None, :]
+    off = 1.0 - np.eye(3)
+    s = 2.0 * K[..., _THIRD] * off  # n^T s n = a1 + a2 + a3
+    pairs = s[..., None, :, :] * (_THIRD != np.arange(3)[:, None, None]) - gain2[..., None, :, :]
+    interior = np.all(K > 0, axis=-1)
+    K = np.where(interior[..., None], K, 1.0)
+    # column k of V is the vertex with n_k = 0, e.g. (0, B, C)/(B + C);
+    # DV = diag(BC/A, CA/B, AB/C) V with the divisions cancelled
+    k1, k2 = K[..., [1, 0, 0]], K[..., [2, 2, 1]]
+    V = K[..., :, None] * off / (k1 + k2)[..., None, :]
+    DV = (k1 * k2)[..., :, None] * off / (k1 + k2)[..., None, :]
+    Vt = np.swapaxes(V, -1, -2)
+    q_int = _matmul3(Vt, _matmul3(0.5 * s - gain2, V)) + _matmul3(Vt, DV)
+    value, b = _max_on_simplex(np.concatenate([pairs, q_int[..., None, :, :]], axis=-3))
+    value[..., 3] = np.where(interior, value[..., 3], -np.inf)
+    k = np.argmax(value, axis=-1)
+    b = np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
+    n = np.where((k == 3)[..., None], _matmul3(V, b[..., :, None])[..., 0], b)
+    sup = np.max(value, axis=-1)
+    return (float(sup), n) if isinstance(p, DiagonalParams) else (sup, n)
 
 
 def ks_witness_for_diag(p: DiagonalParams, n: np.ndarray) -> PauliElement:
     """Unit-norm input with the worst KS defect at the given moduli."""
     terms = DiagKsTerms.from_params(p)
-    d1, d2 = _phases_for_witness(terms, n)
+    _, d1, d2 = _phase_supremum(
+        4.0 * terms.A * n[1] * n[2], 4.0 * terms.B * n[0] * n[2], 4.0 * terms.C * n[0] * n[1]
+    )
     # d1 = th2 - th3, d2 = th3 - th1 with th1 = 0
-    th1 = 0.0
-    th3 = d2
-    th2 = d1 + th3
-    w = np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * np.array([th1, th2, th3]))
+    w = np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * np.array([0.0, d1 + d2, d2]))
     return PauliElement(0.0, w)
 
 
-def ks_defect_min_eig(ch, x: PauliElement) -> float:
-    """Smallest eigenvalue of map(x*x) - map(x)* map(x) (definition level)."""
+def ks_defect_min_eig(ch, x: PauliElement, tols: Tolerances = DEFAULT) -> float:
+    """Smallest eigenvalue of map(x*x) - map(x)* map(x) (definition level);
+    a defect farther than tols.hermiticity from Hermitian raises ValueError."""
     sq = pauli.star_square(x)
     m_sq = (
         ch.apply_matrix(sq)
@@ -283,14 +274,12 @@ def ks_defect_min_eig(ch, x: PauliElement) -> float:
     )
     defect = m_sq - linalg.adjoint(m_x) @ m_x
     dev = linalg.hermitian_deviation(defect)
-    if dev > DEFAULT.hermiticity:
+    if dev > tols.hermiticity:
         raise ValueError(f"KS defect is not Hermitian: max deviation {dev:.3e}")
     return float(linalg.batch_min_eigenvalue(defect))
 
 
-def ks_phi_diag_exact(
-    p: DiagonalParams, tols: Tolerances = DEFAULT, resolution: int = 160
-) -> TriState:
+def ks_phi_diag_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
     """Exact KS classification of a diagonal channel.
 
     Fast path: the three closed-form inequalities (sufficient).  When one
@@ -301,7 +290,7 @@ def ks_phi_diag_exact(
     if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "diag KS inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
-    sup, n = diag_ks_defect_supremum(p, resolution)
+    sup, n = diag_ks_defect_supremum(p)
     if sup <= tols.positivity:
         return TriState(
             Status.HOLDS_EXACT,
@@ -311,7 +300,7 @@ def ks_phi_diag_exact(
     note = f"inequality {worst} violated; defect supremum {sup:.3e}"
     ch = QubitChannel.diagonal(p)
     witness = ks_witness_for_diag(p, n)
-    viol = ks_defect_min_eig(ch, witness)
+    viol = ks_defect_min_eig(ch, witness, tols)
     if viol < -tols.ks_violation:
         return TriState(Status.FAILS, note, witness=(witness, viol))
     # the reconstructed phases can miss a very shallow supremum; a
@@ -467,7 +456,9 @@ def ks_tensor_sufficient(
     """Sufficient KS test for tensor maps over probes plus random inputs.
 
     A violated hypothesis proves nothing about the map, so it yields
-    INCONCLUSIVE; callers fall back to the sampling oracle.
+    INCONCLUSIVE; callers fall back to the sampling oracle.  Either
+    condition counts as violated when it misses by more than
+    tols.tensor_ks_slack.
     """
     from .oracle import sample_unit_sphere
 
@@ -475,14 +466,14 @@ def ks_tensor_sufficient(
     w = w / np.linalg.norm(w, axis=-1)[:, None]
     rhs, lhs = _tensor_ks_margins(m.A, m.C, w)
     k = int(np.argmin(rhs))
-    if rhs[k] < -1e-10:
+    if rhs[k] < -tols.tensor_ks_slack:
         return TriState(
             Status.INCONCLUSIVE,
             f"gain condition violated: ||w||^2 - 2||Aw||^2 - 2||Cw||^2 = {rhs[k]:.3e}",
             witness=PauliElement(0.0, w[k]),
         )
     k = int(np.argmax(lhs - rhs))
-    if lhs[k] - rhs[k] > 1e-10:
+    if lhs[k] - rhs[k] > tols.tensor_ks_slack:
         return TriState(
             Status.INCONCLUSIVE,
             f"bracket condition violated by {lhs[k] - rhs[k]:.3e}",
@@ -678,28 +669,29 @@ def cp_tlm_exact(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
     return TriState(Status.FAILS, f"lam+mu = {p.lam + p.mu:.6g} > 1")
 
 
-def choi_min_eigenvalues(choi):
+def choi_min_eigenvalues(choi, tols: Tolerances = DEFAULT):
     """Smallest eigenvalue of a Choi matrix, or of each in a stack (LAPACK).
 
     Raises ValueError on non-finite entries, and when a matrix deviates
-    from its adjoint by more than the Hermiticity tolerance relative to
-    its largest entry (or 1).
+    from its adjoint by more than tols.hermiticity relative to its largest
+    entry (or 1).
     """
     choi = np.asarray(choi, dtype=complex)
     if not np.all(np.isfinite(choi)):
         raise ValueError("Choi matrix entries must be finite")
     dev = linalg.hermitian_deviation(choi)
     scale = np.maximum(1.0, np.max(np.abs(choi), axis=(-2, -1)))
-    if np.any(dev > DEFAULT.hermiticity * scale):
+    if np.any(dev > tols.hermiticity * scale):
         raise ValueError(f"Choi matrix is not Hermitian (deviation {float(np.max(dev)):.3e})")
     return linalg.batch_min_eigenvalue(choi)
 
 
-def cp_choi_numeric(choi: np.ndarray, tol: float = DEFAULT.positivity) -> TriState:
+def cp_choi_numeric(choi: np.ndarray, tols: Tolerances = DEFAULT) -> TriState:
     """CP via the sign of the smallest Choi eigenvalue."""
-    low = float(choi_min_eigenvalues(choi))
-    if low >= -tol:
-        return TriState(Status.HOLDS_EXACT, f"min Choi eigenvalue {low:.6g} >= -{tol:.1g}")
+    low = float(choi_min_eigenvalues(choi, tols))
+    if low >= -tols.positivity:
+        note = f"min Choi eigenvalue {low:.6g} >= -{tols.positivity:.1g}"
+        return TriState(Status.HOLDS_EXACT, note)
     return TriState(Status.FAILS, f"min Choi eigenvalue {low:.6g} < 0", witness=low)
 
 
@@ -756,7 +748,7 @@ DECIDERS = {
     "tmat": Deciders(
         positive=_positive_tensor_map,
         ks=lambda p, m, tols, cfg: ks_tensor_sufficient(m, cfg.n_samples, cfg.seed, tols),
-        cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols.positivity),
+        cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols),
     ),
 }
 

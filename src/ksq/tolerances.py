@@ -29,6 +29,9 @@ class Tolerances:
                   x -> x + t*1 for which the oracle samples only w0 = 0
     linearity   : relative max-entry deviation accepted between a map's
                   evaluate_batch and its Pauli-basis template contraction
+    tensor_ks_slack: absolute amount by which a probed input may miss the
+                  gain or the bracket inequality of the sampled tensor KS
+                  sufficient test before the test reports INCONCLUSIVE
     """
 
     hermiticity: float = 1e-10
@@ -41,6 +44,7 @@ class Tolerances:
     defect_hermiticity: float = 1e-12
     shift_reduction: float = 1e-8
     linearity: float = 1e-12
+    tensor_ks_slack: float = 1e-10
 
 
 DEFAULT = Tolerances()

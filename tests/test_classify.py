@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ksq import classify, linalg
+from ksq import classify, linalg, oracle
 from ksq.channels import (
     DiagonalParams,
     DiagonalTensorParams,
@@ -34,6 +35,7 @@ from ksq.classify import (
     _phase_supremum,
 )
 from ksq.pauli import PauliElement
+from ksq.tolerances import DEFAULT, Tolerances
 
 
 # --- diagonal channel KS ----------------------------------------------------
@@ -99,9 +101,12 @@ def test_phase_supremum_against_brute_force(rng):
         brute = float(
             np.max(a[0] * np.sin(d1) ** 2 + a[1] * np.sin(d2) ** 2 + a[2] * np.sin(d1 + d2) ** 2)
         )
-        closed = float(_phase_supremum(a[0], a[1], a[2]))
+        closed, p1, p2 = (float(v) for v in _phase_supremum(a[0], a[1], a[2]))
         assert closed >= brute - 1e-9
         assert closed <= brute + 1e-3 * max(1.0, brute)
+        # the closed-form phases attain the closed-form supremum
+        reached = a[0] * np.sin(p1) ** 2 + a[1] * np.sin(p2) ** 2 + a[2] * np.sin(p1 + p2) ** 2
+        assert abs(reached - closed) <= 1e-12
 
 
 def test_defect_supremum_against_sampling(rng):
@@ -176,6 +181,195 @@ def test_diag_ks_terms_record():
     assert t.A == pytest.approx(0.36)
     assert t.B == pytest.approx(0.25)
     assert t.C == pytest.approx(0.09)
+
+
+# --- exact diagonal KS supremum ---------------------------------------------
+
+
+def defect_value(terms: DiagKsTerms, n: np.ndarray) -> np.ndarray:
+    """Worst squared-bracket mass minus squared gain at moduli n (>=0 fails KS)."""
+    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
+    f, _, _ = _phase_supremum(
+        4.0 * terms.A * n2 * n3, 4.0 * terms.B * n1 * n3, 4.0 * terms.C * n1 * n2
+    )
+    gain = terms.alpha * n1 + terms.beta * n2 + terms.gamma * n3
+    return f - gain * gain
+
+
+def _simplex_grid(resolution: int) -> np.ndarray:
+    i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
+    keep = (i + j) <= resolution
+    n1 = i[keep] / resolution
+    n2 = j[keep] / resolution
+    return np.stack([n1, n2, 1.0 - n1 - n2], axis=-1)
+
+
+def _refine_simplex(fun, n0: np.ndarray, width: float, rounds: int = 8, res: int = 20):
+    """Shrinking local grid refinement of fun around n0 on the 2-simplex."""
+    n = n0.copy()
+    best = float(fun(n[None, :])[0])
+    for _ in range(rounds):
+        t = np.linspace(-width, width, 2 * res + 1)
+        d1, d2 = np.meshgrid(t, t, indexing="ij")
+        n1 = np.clip(n[0] + d1.ravel(), 0.0, 1.0)
+        n2 = np.clip(n[1] + d2.ravel(), 0.0, 1.0)
+        keep = n1 + n2 <= 1.0
+        cand = np.stack([n1[keep], n2[keep], 1.0 - n1[keep] - n2[keep]], axis=-1)
+        vals = fun(cand)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            n = cand[k]
+        width /= float(res) / 2.0
+    return best, n
+
+
+def reference_supremum(p: DiagonalParams, resolution: int = 160):
+    """Grid-and-refine search of the defect supremum over the moduli simplex.
+
+    It approaches the supremum from below, so the exact value must not
+    fall under it and may exceed it only by the search's resolution.
+    """
+    terms = DiagKsTerms.from_params(p)
+    grid = _simplex_grid(resolution)
+    vals = defect_value(terms, grid)
+    order = np.argsort(vals)[::-1][:4]
+    best, best_n = -np.inf, grid[order[0]]
+    for idx in order:
+        val, n = _refine_simplex(
+            lambda m: defect_value(terms, m), grid[idx], width=1.5 / resolution
+        )
+        if val > best:
+            best, best_n = val, n
+    return best, best_n
+
+
+def _assert_matches_reference(lams):
+    p = DiagonalParams(*lams)
+    exact, _ = diag_ks_defect_supremum(p)
+    ref, _ = reference_supremum(p)
+    assert ref - 1e-12 <= exact <= ref + 1e-8, (lams, exact, ref)
+
+
+def _grid_fallback_points() -> np.ndarray:
+    """Points of the 21^3 grid where a closed-form inequality fails."""
+    axis = np.linspace(-1.0, 1.0, 21)
+    g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    res = diag_ks_residuals(g[:, 0], g[:, 1], g[:, 2])
+    return g[~classify.all_hold(res, DEFAULT.positivity)]
+
+
+# A = 0, B = 0 or C = 0 alone, two of them, and all three
+ZERO_TERM_POINTS = (
+    (0.25, 0.5, 0.5),
+    (-0.25, 0.5, -0.5),
+    (0.5, 0.25, 0.5),
+    (0.5, 0.5, 0.25),
+    (0.5, 0.5, 1.0),
+    (1.0, -0.3, -0.3),
+    (0.0, 0.0, 0.9),
+    (-1.0, -1.0, 1.0),
+)
+
+
+def test_defect_supremum_is_attained_on_grid_fallback():
+    # the exact value is the defect at the returned moduli, so it never
+    # overstates the supremum
+    pts = _grid_fallback_points()
+    assert len(pts) == 5868
+    sup, n = diag_ks_defect_supremum(pts)
+    assert sup.shape == (len(pts),) and n.shape == (len(pts), 3)
+    assert np.all(n >= 0.0) and np.allclose(n.sum(axis=-1), 1.0, atol=1e-12)
+    value = defect_value(DiagKsTerms.from_params(pts), n)
+    assert np.max(np.abs(value - sup)) <= 1e-12
+
+
+def test_defect_supremum_matches_reference_search(rng):
+    pts = _grid_fallback_points()[::10]
+    lams = rng.uniform(-1.0, 1.0, size=(400, 3))
+    res = diag_ks_residuals(lams[:, 0], lams[:, 1], lams[:, 2])
+    lams = lams[~classify.all_hold(res, DEFAULT.positivity)][:60]
+    for row in np.concatenate([pts, lams, np.array(ZERO_TERM_POINTS)]):
+        _assert_matches_reference(row)
+
+
+def test_defect_supremum_stack_equals_points(rng):
+    pts = np.concatenate(
+        [_grid_fallback_points(), rng.uniform(-1.0, 1.0, size=(200, 3)), np.array(ZERO_TERM_POINTS)]
+    )
+    sup, n = diag_ks_defect_supremum(pts)
+    for row, s, m in zip(pts, sup, n):
+        one, n_one = diag_ks_defect_supremum(DiagonalParams(*row))
+        assert isinstance(one, float)
+        assert one == s and np.array_equal(n_one, m), row
+    grid_sup, grid_n = diag_ks_defect_supremum(pts[:60].reshape(4, 15, 3))
+    assert np.array_equal(grid_sup.ravel(), sup[:60])
+    assert np.array_equal(grid_n.reshape(60, 3), n[:60])
+
+
+def _pieces_max(terms: DiagKsTerms, n: np.ndarray) -> float:
+    """The largest of the four quadratic pieces valid at moduli n."""
+    A, B, C = terms.A, terms.B, terms.C
+    n1, n2, n3 = n
+    a = (4 * A * n2 * n3, 4 * B * n1 * n3, 4 * C * n1 * n2)
+    s = sum(a)
+    gain2 = (terms.alpha * n1 + terms.beta * n2 + terms.gamma * n3) ** 2
+    best = max(s - ak for ak in a) - gain2
+    inside = (
+        min(A, B, C) > 0
+        and A * B * n3 <= C * (A * n2 + B * n1)
+        and C * A * n2 <= B * (C * n1 + A * n3)
+        and B * C * n1 <= A * (B * n3 + C * n2)
+    )
+    if inside:
+        interior = s / 2 + B * C * n1**2 / A + C * A * n2**2 / B + A * B * n3**2 / C - gain2
+        best = max(best, interior)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lams=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    side=st.integers(0, 2),
+    t=st.floats(0.0, 1.0),
+    offset=st.floats(-1e-6, 1e-6),
+)
+def test_defect_supremum_near_interior_region_lines(lams, side, t, offset):
+    # moduli within 1e-6 of a side of the interior piece's triangle, where
+    # the phase supremum switches between the pair and interior forms
+    terms = DiagKsTerms.from_params(DiagonalParams(*lams))
+    A, B, C = terms.A, terms.B, terms.C
+    assume(min(A, B, C) > 1e-3)
+    vertices = np.array([[0, B, C], [A, 0, C], [A, B, 0]]) / np.array([[B + C], [A + C], [A + B]])
+    i, j = (k for k in range(3) if k != side)
+    on_line = (1.0 - t) * vertices[i] + t * vertices[j]
+    inward = vertices[side] - on_line
+    n = np.clip(on_line + offset * inward / np.linalg.norm(inward), 0.0, None)
+    n /= n.sum()
+    value = float(defect_value(terms, n[None, :])[0])
+    assert _pieces_max(terms, n) == pytest.approx(value, abs=1e-12)
+    assert diag_ks_defect_supremum(DiagonalParams(*lams))[0] >= value - 1e-12
+    _assert_matches_reference(lams)
+
+
+def test_diag_fails_witnesses_reverify_on_grid(monkeypatch):
+    # every failure certificate comes from the closed-form maximiser, not
+    # from the sampling oracle
+    def no_oracle(map_obj, cfg):
+        raise AssertionError("oracle fallback used")
+
+    monkeypatch.setattr(oracle, "ks_violation_search", no_oracle)
+    n_fails = 0
+    for row in _grid_fallback_points():
+        p = DiagonalParams(*row)
+        tri = ks_phi_diag_exact(p)
+        if tri.status is not Status.FAILS:
+            continue
+        n_fails += 1
+        x, violation = tri.witness
+        value = ks_defect_min_eig(QubitChannel.diagonal(p), x)
+        assert value < -DEFAULT.ks_violation and value == pytest.approx(violation, abs=1e-12)
+    assert n_fails > 4000
 
 
 # --- tensor positivity ------------------------------------------------------
@@ -401,6 +595,38 @@ def test_choi_min_eigenvalues_stack_matches_jacobi(rng):
     chois[7, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         classify.choi_min_eigenvalues(chois)
+
+
+def test_custom_tolerances_are_honoured():
+    loose = Tolerances(hermiticity=1e-8, positivity=1e-6, tensor_ks_slack=1e-8)
+
+    # a defect 1e-9 away from Hermitian: rejected by default, accepted loosely
+    class Skewed:
+        out_dim = 2
+
+        def evaluate_batch(self, w0, w):
+            m = QubitChannel.identity().evaluate_batch(w0, w)
+            m[..., 0, 1] += 1e-9
+            return m
+
+    x = PauliElement(0.0, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        ks_defect_min_eig(Skewed(), x)
+    assert ks_defect_min_eig(Skewed(), x, loose) == pytest.approx(0.0, abs=1e-8)
+
+    choi = np.array([[1.0, 1e-9], [0.0, -1e-7]], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        classify.choi_min_eigenvalues(choi)
+    assert classify.choi_min_eigenvalues(choi, loose) == pytest.approx(-1e-7, abs=1e-12)
+    assert cp_choi_numeric(choi, loose).status is Status.HOLDS_EXACT
+    assert cp_choi_numeric(choi, Tolerances(hermiticity=1e-8)).status is Status.FAILS
+
+    # gain condition missed by 4e-10 on every unit input
+    m = TensorMap.scalar(ScalarPairParams(0.5 + 1e-10, 0.5 + 1e-10))
+    assert ks_tensor_sufficient(m, 500, seed=5).status is Status.INCONCLUSIVE
+    assert ks_tensor_sufficient(m, 500, seed=5, tols=loose).status is Status.HOLDS_SUFFICIENT
+    verdict = classify_full(("tmat", m), n_samples=500, seed=5, tols=loose)
+    assert verdict.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
 
 
 # --- redundancy claims ------------------------------------------------------
