@@ -11,6 +11,11 @@ Verdict statuses record logical strength, not just truth:
 * ``INCONCLUSIVE``     a sufficient hypothesis was violated, which proves
   nothing; callers fall back to the sampling oracle.
 
+Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``): a
+qubit channel by ||T||_op <= 1, a tensor map by the minimax of
+``tensor_positivity_steps`` for sup ||Aw|| + ||Cw|| over the unit
+sphere, stopped once an upper or a lower bound decides.
+
 The KS decision for diagonal qubit channels deserves a note.  Its three
 closed-form inequalities are a correct *sufficient* test, but their
 converse fails: the channel diag(-1/2, -1/2, -1/2) satisfies the
@@ -83,15 +88,16 @@ class Verdict:
         yield "completely_positive", self.completely_positive
 
 
-def _stack(*residuals) -> np.ndarray:
-    # residuals are computed on the unbroadcast inputs, so sparse grids
-    # stay cheap until this final broadcast
-    return np.stack(np.broadcast_arrays(*residuals))
+def all_hold(residuals, tol: float = DEFAULT.positivity):
+    """True where every residual is at most tol, broadcasting.
 
-
-def all_hold(res, tol: float = DEFAULT.positivity):
-    """True where every residual of a stack (first axis) is at most tol."""
-    return np.all(res <= tol, axis=0)
+    residuals is a sequence of arrays (or a stack, by its first axis); they
+    are compared one at a time, so no broadcast stack is built.
+    """
+    ok = residuals[0] <= tol
+    for r in residuals[1:]:
+        ok = ok & (r <= tol)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -358,75 +364,102 @@ def ks_probe_vectors() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    phi = i * np.pi * (3.0 - np.sqrt(5.0))
-    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+# evaluation points per step of the minimax; convexity keeps the minimiser
+# between the neighbours of the best point, so a step shrinks the
+# t-bracket by (_MINIMAX_POINTS + 1) / 2
+_MINIMAX_POINTS = 15
+# the t-bracket falls below float resolution after about 18 steps
+_MINIMAX_STEPS = 40
 
 
-def _ascend_sphere(fun, w0: np.ndarray, iters: int = 200) -> tuple[float, np.ndarray]:
-    """Coordinate-perturbation hill climb on the real unit sphere."""
-    w = w0 / np.linalg.norm(w0)
-    best = float(fun(w[None, :])[0])
-    step = 0.1
-    for _ in range(iters):
-        improved = False
-        for k in range(3):
-            for sign in (1.0, -1.0):
-                cand = w.copy()
-                cand[k] += sign * step
-                cand /= np.linalg.norm(cand)
-                val = float(fun(cand[None, :])[0])
-                if val > best + 1e-18:
-                    best, w, improved = val, cand, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return best, w
+def _balanced_top_vector(A, C, P, Q, t, vecs):
+    """(||Aw|| + ||Cw||, w) for the best unit w built from the eigenvectors
+    vecs (ascending) of P/t + Q/(1 - t).
 
-
-def positive_tensor(m: TensorMap, grid: int = 1024, tols: Tolerances = DEFAULT) -> TriState:
-    """Positivity of a tensor map: sup ||Aw|| + ||Cw|| over the real sphere.
-
-    Equality of A and C collapses the criterion to 2||A||_op <= 1, which
-    is decided exactly from the spectrum of A^T A; otherwise a Fibonacci
-    lattice plus derivative-free ascent bounds the supremum from below,
-    so a failure is certified while success is sufficient-only.
+    In the span of the top k = 1, 2, 3 eigenvectors, w mixes the extreme
+    eigenvectors of the derivative form Q/(1 - t)^2 - P/t^2 so that w^T
+    (Q/(1 - t)^2 - P/t^2) w = 0 (clipped when they do not straddle 0).
+    Then t is optimal for w alone, and in a (possibly degenerate) top
+    eigenspace ||Aw|| + ||Cw|| is the top eigenvalue's square root.
     """
-    if grid < 64:
-        raise ValueError("grid must be at least 64")
+    D = vecs.T @ (Q / (1.0 - t) ** 2 - P / t**2) @ vecs
+    cands = [vecs[:, -1]]
+    for k in (2, 3):
+        d, e = np.linalg.eigh(D[-k:, -k:])
+        c2 = min(max(d[-1] / (d[-1] - d[0]), 0.0), 1.0) if d[-1] > d[0] else 1.0
+        cands.append(vecs[:, -k:] @ (math.sqrt(c2) * e[:, 0] + math.sqrt(1.0 - c2) * e[:, -1]))
+    W = np.array(cands)
+    W /= np.linalg.norm(W, axis=-1)[:, None]
+    g = np.linalg.norm(W @ A.T, axis=-1) + np.linalg.norm(W @ C.T, axis=-1)
+    k = int(np.argmax(g))
+    return float(g[k]), W[k]
 
-    def f(w):
-        return np.linalg.norm(w @ m.A.T, axis=-1) + np.linalg.norm(w @ m.C.T, axis=-1)
 
-    def search():
-        lattice = _fibonacci_sphere(grid)
-        return _ascend_sphere(f, lattice[int(np.argmax(f(lattice)))])
+def tensor_positivity_steps(A, C):
+    """Bounds on s = sup ||Aw|| + ||Cw|| over real unit w in R^3, tightened
+    step by step.
 
+    Since (a + b)^2 = min_{t in (0, 1)} a^2/t + b^2/(1 - t),
+
+        s^2 = min_t lambda_max(P/t + Q/(1 - t)),   P = A^T A,  Q = C^T C,
+
+    "<=" by weak duality, and "=" because the joint range of two real
+    quadratic forms on the sphere of R^3 is convex (L. Brickman, Proc. AMS
+    12 (1961) 61-66).  The right-hand side is convex in t; each step
+    evaluates it on a grid of the t-bracket with one stacked 3x3 eigh and
+    keeps the neighbours of the best point.  Each step yields the best
+    bounds so far, (upper, t, lower, w): upper = lambda_max(P/t +
+    Q/(1 - t))^(1/2) >= s, and lower = ||Aw|| + ||Cw|| <= s at the unit w
+    from _balanced_top_vector.  The caller stops once they decide.
+    """
+    P, Q = A.T @ A, C.T @ C
+    lo, hi = 0.0, 1.0
+    upper, t_best, lower, w_best = math.inf, 0.5, -1.0, None
+    for _ in range(_MINIMAX_STEPS):
+        grid = np.linspace(lo, hi, _MINIMAX_POINTS + 2)
+        t = grid[1:-1, None, None]
+        vals, vecs = np.linalg.eigh(P / t + Q / (1.0 - t))
+        i = int(np.argmin(vals[:, -1]))
+        if vals[i, -1] < upper**2:
+            upper, t_best = math.sqrt(max(vals[i, -1], 0.0)), float(grid[i + 1])
+        g, w = _balanced_top_vector(A, C, P, Q, grid[i + 1], vecs[i])
+        if g > lower:
+            lower, w_best = g, w
+        yield upper, t_best, lower, w_best
+        lo, hi = grid[i], grid[i + 2]
+
+
+def positive_tensor(m: TensorMap, tols: Tolerances = DEFAULT) -> TriState:
+    """Exact positivity of a tensor map: sup ||Aw|| + ||Cw|| <= 1 + tol.
+
+    The image of the positive input 1 + w.s (real w, |w| <= 1) has
+    smallest eigenvalue 1 - ||Aw|| - ||Cw||.  A = C reduces the supremum
+    to 2||A||_op.  Otherwise tensor_positivity_steps runs until it decides:
+    HOLDS_EXACT when lambda_max(A^T A/t + C^T C/(1 - t)) <= (1 + tol)^2 at
+    the t* the note gives, FAILS with the witness (1 + w.s, ||Aw|| + ||Cw||)
+    when that exceeds 1 + tol (w the top right singular vector when
+    A = C).  A bracket narrower than tol that straddles 1 + tol counts as
+    inside, as boundary maps do.
+    """
+    tol = tols.positivity
     if np.array_equal(m.A, m.C):
         op = float(np.linalg.norm(m.A, 2))
-        if 2.0 * op <= 1.0 + tols.positivity:
-            return TriState(Status.HOLDS_EXACT, f"A = C and 2||A||_op = {2 * op:.6g} <= 1")
-        best, w_best = search()
-        return TriState(
-            Status.FAILS,
-            f"A = C and 2||A||_op = {2 * op:.6g} > 1",
-            witness=(PauliElement(1.0, w_best.astype(complex)), best),
-        )
-    best, w_best = search()
-    if best > 1.0 + tols.positivity:
-        return TriState(
-            Status.FAILS,
-            f"found unit w with ||Aw|| + ||Cw|| = {best:.6g} > 1",
-            witness=(PauliElement(1.0, w_best.astype(complex)), best),
-        )
-    return TriState(
-        Status.HOLDS_SUFFICIENT,
-        f"sup over {grid}-point lattice with local ascent is {best:.6g} <= 1",
-    )
+        note = f"A = C and 2||A||_op = {2 * op:.6g}"
+        if 2.0 * op <= 1.0 + tol:
+            return TriState(Status.HOLDS_EXACT, note + " <= 1")
+        note, w = note + " > 1", np.linalg.svd(m.A)[2][0]
+    else:
+        for upper, t, lower, w in tensor_positivity_steps(m.A, m.C):
+            if upper <= 1.0 + tol or lower > 1.0 + tol or upper - lower < tol:
+                break
+        if lower <= 1.0 + tol:
+            return TriState(
+                Status.HOLDS_EXACT,
+                f"lambda_max(A^T A/t + C^T C/(1-t))^(1/2) = {upper:.10g} at t* = {t!r}",
+            )
+        note = f"unit w with ||Aw|| + ||Cw|| = {lower:.10g} > 1"
+    value = float(np.linalg.norm(m.A @ w) + np.linalg.norm(m.C @ w))
+    return TriState(Status.FAILS, note, witness=(PauliElement(1.0, w.astype(complex)), value))
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +608,11 @@ def cp_phi_residuals(l1, l2, l3):
     """LHS - RHS of the three exact CP inequalities of a diagonal channel.
 
     The Ruskai-Szarek-Werner tetrahedron (Linear Algebra Appl. 347 (2002)),
-    broadcasting; <= 0 means holds.
+    broadcasting; one array per inequality, not broadcast against the
+    others (see all_hold); <= 0 means holds.
     """
     l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
-    return _stack(
+    return (
         (l1 + l2) ** 2 - (1 + l3) ** 2,
         (l1 - l2) ** 2 - (1 - l3) ** 2,
         4 * (l1 * l1 * l2 * l2 + l2 * l2 * l3 * l3 + l1 * l1 * l3 * l3 - 2 * l1 * l2 * l3)
@@ -588,7 +622,7 @@ def cp_phi_residuals(l1, l2, l3):
 
 def cp_phi_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
     """Exact CP test for diagonal channels (three closed-form inequalities)."""
-    res = cp_phi_residuals(p.lam1, p.lam2, p.lam3)
+    res = np.array(cp_phi_residuals(p.lam1, p.lam2, p.lam3))
     if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "diagonal channel CP inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
@@ -598,9 +632,10 @@ def cp_phi_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
 
 
 def cp_tensor_diag_residuals(l1, l2, l3):
-    """LHS - RHS of the three exact CP inequalities (broadcasting)."""
+    """LHS - RHS of the three exact CP inequalities, one array per
+    inequality (broadcasting, as cp_phi_residuals)."""
     l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
-    return _stack(
+    return (
         2.0 * (l1 + l2) ** 2 - (1.0 + 2.0 * l3),
         2.0 * (l1 - l2) ** 2 - (1.0 - 2.0 * l3),
         4.0 * (l1 * l1 + l2 * l2 + l3 * l3) - (1.0 + 16.0 * l1 * l2 * l3),
@@ -628,7 +663,7 @@ def cp_tensor_diag_exact(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) ->
     At l3 = +-1/2 these force l1 = l2 (resp. l1 = -l2), the closure of
     the open-interval criterion.
     """
-    res = cp_tensor_diag_residuals(p.lam1, p.lam2, p.lam3).reshape(3)
+    res = np.array(cp_tensor_diag_residuals(p.lam1, p.lam2, p.lam3))
     if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_EXACT, "tensor CP minors hold")
     worst = int(np.argmax(res > tols.positivity)) + 1
@@ -651,12 +686,13 @@ def cp_tlm_residuals(lam, mu):
 
         2 sqrt(lam^2 - lam mu + mu^2) <= lam + mu + 1,    lam + mu <= 1
 
-    broadcasting; <= 0 means holds.
+    one array per inequality (broadcasting, as cp_phi_residuals); <= 0
+    means holds.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     root = np.sqrt(lam * lam - lam * mu + mu * mu)
-    return _stack(-(lam + mu + 1.0 - 2.0 * root), lam + mu - 1.0)
+    return -(lam + mu + 1.0 - 2.0 * root), lam + mu - 1.0
 
 
 def cp_tlm_exact(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:

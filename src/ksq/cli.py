@@ -223,7 +223,7 @@ def cmd_classify(args) -> int:
                 "note": tri.note,
             }
             if tri.witness is not None:
-                rec["witness"] = _witness_json(tri.witness)
+                rec["witness"] = _witness_json(level, tri.witness)
             print(json.dumps(rec))
     else:
         print(f"descriptor: {args.descriptor}")
@@ -233,7 +233,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _witness_json(witness):
+def _witness_json(level: str, witness):
+    """A positivity witness (x, sup) gives the image of x = 1 + w.s the
+    smallest eigenvalue 1 - sup, reported as its violation; a KS witness
+    (x, violation) reports the defect's."""
     if isinstance(witness, oracle.Witness):
         return {
             "kind": witness.defect_kind,
@@ -241,8 +244,10 @@ def _witness_json(witness):
             "violation": witness.violation,
         }
     if isinstance(witness, tuple) and len(witness) == 2:
-        x, viol = witness
-        return {"input": _pauli_json(x), "violation": viol}
+        x, value = witness
+        if level == "positive":
+            return {"input": _pauli_json(x), "sup": value, "violation": 1.0 - value}
+        return {"input": _pauli_json(x), "violation": value}
     if isinstance(witness, float):
         return {"value": witness}
     return str(witness)

@@ -83,7 +83,7 @@ def test_criterion_2_tdiag_choi_fixture_and_grid():
     diags[:, [0, 1, 2], [0, 1, 2]] = pts
     lows = linalg.hermitian_eigenvalues(choi_matrix_tensor_batch(diags, diags))[:, 0]
     res = classify.cp_tensor_diag_residuals(pts[:, 0], pts[:, 1], pts[:, 2])
-    exact_ok = np.all(res <= 1e-9, axis=0)
+    exact_ok = classify.all_hold(res, 1e-9)
     numeric_ok = lows >= -1e-9
     disagreements = int(np.sum(exact_ok != numeric_ok))
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +33,7 @@ from ksq.classify import (
     ks_tlm_sufficient,
     ks_witness_for_diag,
     positive_tensor,
+    tensor_positivity_steps,
     tlm_choi_eigenvalues,
     _phase_supremum,
 )
@@ -395,15 +398,153 @@ def test_positive_tensor_zero_map():
     assert tri.status is Status.HOLDS_EXACT
 
 
-def test_positive_tensor_grid_validation():
-    with pytest.raises(ValueError, match="64"):
-        positive_tensor(TensorMap(np.zeros((3, 3)), np.zeros((3, 3))), grid=32)
-
-
-def test_positive_tensor_unequal_sufficient(rng):
+def test_positive_tensor_unequal_exact():
     m = TensorMap(np.diag([0.4, 0.1, 0.2]), np.diag([0.3, 0.2, 0.1]))
     tri = positive_tensor(m)
-    assert tri.status is Status.HOLDS_SUFFICIENT
+    assert tri.status is Status.HOLDS_EXACT
+    _assert_positivity_certified(m, tri)
+
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli(v) -> np.ndarray:
+    return np.tensordot(v, _SIGMA, axes=1)
+
+
+def _image_min_eig(m: TensorMap, w: np.ndarray) -> float:
+    """Smallest eigenvalue of the image of 1 + w.s, from explicit 4x4 matrices."""
+    image = np.eye(4) + np.kron(np.eye(2), _pauli(m.A @ w)) + np.kron(_pauli(m.C @ w), np.eye(2))
+    return float(np.linalg.eigvalsh(image)[0])
+
+
+def _assert_positivity_certified(m: TensorMap, tri, tol: float = DEFAULT.positivity):
+    """A FAILS witness is a positive input whose image has an eigenvalue
+    below -tol; a HOLDS_EXACT carries t* with lambda_max <= (1 + tol)^2
+    (t* = 1/2 when A = C, where the bound is 2||A||_op)."""
+    assert tri.status in (Status.HOLDS_EXACT, Status.FAILS)
+    if tri.status is Status.FAILS:
+        x, value = tri.witness
+        w = x.w.real
+        assert x.w0 == 1.0 and np.all(x.w.imag == 0.0) and np.linalg.norm(w) <= 1.0 + 1e-15
+        low = _image_min_eig(m, w)
+        assert low == pytest.approx(1.0 - value, abs=1e-12) and low < -tol
+    else:
+        t = 0.5 if np.array_equal(m.A, m.C) else float(re.search(r"t\* = (\S+)", tri.note).group(1))
+        top = np.linalg.eigvalsh(m.A.T @ m.A / t + m.C.T @ m.C / (1.0 - t))[-1]
+        assert top <= (1.0 + tol) ** 2
+
+
+def _exact_sup(A, C, width: float = 1e-12):
+    """tensor_positivity_steps run until its bounds are within width."""
+    for upper, t, lower, w in tensor_positivity_steps(A, C):
+        if upper - lower < width:
+            break
+    return upper, t, lower, w
+
+
+def _dense_sup(A, C, n: int = 200_000, seed: int = 0) -> float:
+    w = np.random.default_rng(seed).normal(size=(n, 3))
+    w /= np.linalg.norm(w, axis=-1)[:, None]
+    return float(np.max(np.linalg.norm(w @ A.T, axis=-1) + np.linalg.norm(w @ C.T, axis=-1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+def test_tensor_positivity_steps_against_dense_sample(entries):
+    A, C = np.array(entries).reshape(2, 3, 3)
+    upper, t, lower, w = _exact_sup(A, C)
+    dense = _dense_sup(A, C)
+    assert 0.0 < t < 1.0 and upper - lower <= 1e-12
+    assert lower == pytest.approx(np.linalg.norm(A @ w) + np.linalg.norm(C @ w), abs=1e-14)
+    # the exact value dominates the sample and is close to it
+    assert lower >= dense - 1e-12
+    assert upper <= dense * (1.0 + 1e-3) + 1e-12
+
+
+def test_positive_tensor_equal_pair_against_operator_norm(rng):
+    for scale in (0.2, 0.5, 1.0, 2.0):
+        for _ in range(10):
+            A = scale * rng.uniform(-1.0, 1.0, size=(3, 3))
+            m = TensorMap(A, A)
+            op2 = 2.0 * np.linalg.norm(A, 2)
+            tri = positive_tensor(m)
+            assert (tri.status is Status.HOLDS_EXACT) == (op2 <= 1.0 + DEFAULT.positivity)
+            _assert_positivity_certified(m, tri)
+            if tri.status is Status.FAILS:
+                assert tri.witness[1] == pytest.approx(op2, abs=1e-12)
+            # the general minimax agrees on A = C
+            upper, _, lower, _ = _exact_sup(A, A)
+            assert lower <= op2 + 1e-12 and upper >= op2 - 1e-12
+
+
+def test_positive_tensor_tlm_against_abs_sum():
+    axis = np.linspace(-1.0, 1.0, 17)
+    for lam in axis:
+        for mu in axis:
+            m = TensorMap.scalar(ScalarPairParams(lam, mu))
+            upper, _, lower, _ = _exact_sup(m.A, m.C)
+            assert lower == pytest.approx(abs(lam) + abs(mu), abs=1e-12)
+            assert upper == pytest.approx(abs(lam) + abs(mu), abs=1e-12)
+            tri = positive_tensor(m)
+            assert (tri.status is Status.HOLDS_EXACT) == (abs(lam) + abs(mu) <= 1.0 + 1e-12)
+            _assert_positivity_certified(m, tri)
+
+
+def _random_pairs(rng, count: int):
+    """Dense, rank-one, diagonal and one-sided (A, C) pairs."""
+    for k in range(count):
+        A, C = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+        if k % 4 == 1:
+            A = np.outer(A[0], A[1])
+        elif k % 4 == 2:
+            A, C = np.diag(np.diag(A)), np.diag(np.diag(C))
+        elif k % 4 == 3:
+            A = 1e-6 * A
+        yield A, C
+
+
+def test_positive_tensor_near_boundary_scalings(rng):
+    for A, C in _random_pairs(rng, 100):
+        upper, _, lower, _ = _exact_sup(A, C, 1e-13)
+        for factor, status in ((1.0 + 1e-7, Status.HOLDS_EXACT), (1.0 - 1e-7, Status.FAILS)):
+            m = TensorMap(A / (upper * factor), C / (upper * factor))
+            tri = positive_tensor(m)
+            assert tri.status is status, (A, C, factor)
+            _assert_positivity_certified(m, tri)
+
+
+def test_positive_tensor_certificates_on_random_pairs(rng):
+    for k, (A, C) in enumerate(_random_pairs(rng, 400)):
+        m = TensorMap(*(np.array([0.2, 0.5, 1.0])[k % 3] * np.array([A, C])))
+        _assert_positivity_certified(m, positive_tensor(m))
+
+
+# A pair on which the former 1024-point Fibonacci lattice with hill climb
+# reached 2.5073185490377403 of the supremum 2.507862424132386, short by
+# 5.4e-4; scaled so that the supremum is 1 + 1e-4, it reported
+# "holds_sufficient" (0.999883 <= 1)
+LATTICE_MISS_A = np.array([
+    [0.21608319807166043, -0.92605363595540058, 0.75586443322686492],
+    [0.50794426990506647, -0.0012947047646372223, -0.95310268968838119],
+    [-0.062465639127274653, 0.18997311905682523, -0.24430907289991888],
+])
+LATTICE_MISS_C = np.array([
+    [0.35946898014761119, 0.88185924925338233, 0.6967487851664127],
+    [-0.19019717256941426, 0.18137635392332152, 0.90970839294069061],
+    [-0.41447741470187527, 0.13458637973339105, -0.53963534798992852],
+])
+
+
+def test_positive_tensor_lattice_miss_now_fails():
+    upper, _, lower, _ = _exact_sup(LATTICE_MISS_A, LATTICE_MISS_C, 1e-13)
+    assert lower == pytest.approx(2.507862424132386, abs=1e-12)
+    assert lower - 2.5073185490377403 > 5e-4
+    scale = 2.507862424132386 / (1.0 + 1e-4)
+    m = TensorMap(LATTICE_MISS_A / scale, LATTICE_MISS_C / scale)
+    tri = positive_tensor(m)
+    assert tri.status is Status.FAILS
+    _assert_positivity_certified(m, tri)
 
 
 # --- tensor KS --------------------------------------------------------------
@@ -693,7 +834,7 @@ def test_classify_full_tlm_boundary():
 def test_classify_full_tmat(rng):
     m = 0.15 * rng.normal(size=18)
     v = classify_full("tmat:" + ",".join(format(x, ".17g") for x in m), n_samples=500)
-    assert v.positive.status in (Status.HOLDS_SUFFICIENT, Status.HOLDS_EXACT)
+    assert v.positive.status is Status.HOLDS_EXACT
 
 
 def test_classify_full_hierarchy_random(rng):

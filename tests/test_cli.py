@@ -50,6 +50,27 @@ def test_classify_json_lines(capsys):
     assert all(rec["descriptor"] == "tlm:0.5,0.5" for rec in lines)
 
 
+def test_classify_json_lines_positivity_witness(capsys):
+    desc = "tmat:0.8,0,0,0,0,0,0,0,0,0.3,0,0,0,0,0,0,0,0"
+    assert run(["classify", desc, "--samples", "500", "--format", "json-lines"]) == 0
+    by_level = {rec["level"]: rec for rec in map(json.loads, capsys.readouterr().out.splitlines())}
+    pos = by_level["positive"]
+    assert pos["status"] == "fails"
+    wit = pos["witness"]
+    assert wit["sup"] == pytest.approx(1.1, abs=1e-12)
+    # the violation is the smallest eigenvalue of the image of the positive
+    # input 1 + w.s, with the sign convention of KS witnesses
+    values = np.array(wit["input"])
+    x = np.array([complex(re, im) for re, im in zip(values[0::2], values[1::2])])
+    assert x[0] == 1.0 and np.linalg.norm(x[1:]) <= 1.0 + 1e-15
+    image = TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0])).evaluate_batch(
+        x[:1], x[None, 1:]
+    )[0]
+    low = np.linalg.eigvalsh(image)[0]
+    assert wit["violation"] == pytest.approx(low, abs=1e-12) and low == pytest.approx(-0.1, abs=1e-12)
+    assert by_level["kadison_schwarz"]["witness"]["violation"] < 0.0
+
+
 def test_classify_out_of_range_exits_2(capsys):
     assert run(["classify", "phi:2,0,0"]) == 2
     assert run(["classify", "blah:1,2,3"]) == 2
