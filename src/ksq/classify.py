@@ -468,17 +468,19 @@ def positive_tensor(m: TensorMap, tols: Tolerances = DEFAULT) -> TriState:
 
 
 def _tensor_ks_margins(A: np.ndarray, C: np.ndarray, w: np.ndarray):
-    """(rhs, lhs) of the tensor KS sufficient inequality at inputs w."""
-    aw = w @ A.T
-    cw = w @ C.T
-    rhs = (
-        np.sum(np.abs(w) ** 2, axis=-1)
-        - 2.0 * np.sum(np.abs(aw) ** 2, axis=-1)
-        - 2.0 * np.sum(np.abs(cw) ** 2, axis=-1)
-    )
-    br = np.cross(w, np.conj(w))
-    lhs = np.linalg.norm(br @ A.T - 2.0 * np.cross(aw, np.conj(aw)), axis=-1) + np.linalg.norm(
-        br @ C.T - 2.0 * np.cross(cw, np.conj(cw)), axis=-1
+    """(rhs, lhs) of the tensor KS sufficient inequality at inputs w.
+
+    Real arithmetic: w = u + iv gives [w, conj w] = -2i (u x v).
+    """
+    u, v = w.real, w.imag
+    AC = np.concatenate([A, C]).T
+    au, cu = np.split(linalg.thin_matmul(u, AC), 2, axis=-1)
+    av, cv = np.split(linalg.thin_matmul(v, AC), 2, axis=-1)
+    rhs = np.sum(u * u + v * v - 2.0 * (au * au + av * av + cu * cu + cv * cv), axis=-1)
+    uv = np.cross(u, v)
+    lhs = 2.0 * (
+        np.linalg.norm(linalg.thin_matmul(uv, A.T) - 2.0 * np.cross(au, av), axis=-1)
+        + np.linalg.norm(linalg.thin_matmul(uv, C.T) - 2.0 * np.cross(cu, cv), axis=-1)
     )
     return rhs, lhs
 

@@ -1,15 +1,14 @@
 """Dense complex matrix kernel for matrices up to 8x8.
 
 Adjoints, Kronecker products, thin matrix products and Hermitian
-eigenvalues.  Two spectral
-routines live here.  ``batch_min_eigenvalue`` (closed form for 2x2,
-LAPACK otherwise) is the production path: the sampling oracle, the KS
-defect of a single input, the numeric Choi test, the agreement harness
-and the scan re-checks use it.  ``hermitian_eigenvalues`` is an in-house
-cyclic Jacobi iteration on the real-symmetric embedding [[X, -Y], [Y, X]]
-of H = X + iY; it accepts stacks of matrices and is only the reference
-solver that the spectrum fixtures and the tests compare the fast path
-against.
+eigenvalues.  ``batch_min_eigenvalue`` (closed form for 2x2, LAPACK
+otherwise) is the production eigen path.  The sampling oracle calls it
+through ``min_eigenvalue_below``, whose batched LDL^H screen sends only
+the matrices that may lie below a floor to LAPACK.
+``hermitian_eigenvalues`` is an in-house cyclic Jacobi iteration on the
+real-symmetric embedding [[X, -Y], [Y, X]] of H = X + iY; it accepts
+stacks of matrices and is only the reference solver that the spectrum
+fixtures and the tests compare the fast path against.
 """
 
 from __future__ import annotations
@@ -181,13 +180,12 @@ def min_eigenvalue(a, herm_tol: float = DEFAULT.hermiticity):
 
 
 def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
-    """Fast smallest-eigenvalue path for bulk Hermitian stacks.
+    """Smallest eigenvalue of each matrix of a Hermitian stack.
 
-    2x2 inputs use the closed form; larger ones fall back to LAPACK
-    (np.linalg.eigvalsh).  Used by the sampling oracle where millions of
-    small defect matrices are scanned, by the single-input KS defect and
-    by the numeric Choi test; agreement with the Jacobi solver is pinned
-    by tests.
+    2x2 inputs use the closed form; larger ones go to LAPACK
+    (np.linalg.eigvalsh), one matrix at a time, so a matrix gets the same
+    value whatever stack it comes in.  Agreement with the Jacobi solver is
+    pinned by tests.
     """
     stack = np.asarray(stack, dtype=complex)
     n = stack.shape[-1]
@@ -199,3 +197,39 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
         rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(b) ** 2)
         return half_tr - rad
     return np.linalg.eigvalsh(stack)[..., 0]
+
+
+def min_eigenvalue_below(stack: np.ndarray, floor: float) -> np.ndarray:
+    """batch_min_eigenvalue where it may be <= floor, +inf elsewhere.
+
+    A matrix larger than 2x2 is screened by LDL^H elimination of stack - s*1,
+    s = floor + margin, on one (d, d, N) copy.  Pivots all > 0 make it
+    positive definite up to backward error (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 10), so LAPACK's value lies above floor and
+    +inf is reported.  Only the rest go to batch_min_eigenvalue.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    d = stack.shape[-1]
+    if d == 2:
+        return batch_min_eigenvalue(stack)
+    flat = stack.reshape(-1, d, d)
+    a = np.moveaxis(flat, 0, -1).copy()
+    # margin: a generous bound on the backward error of the screen plus the
+    # eigenvalue error of LAPACK, both O(d u ||A||) with ||A|| <= this scale
+    scale = np.abs(np.einsum("iin->in", a.real)).sum(axis=0) + d * abs(floor)
+    shift = floor + 16 * np.finfo(float).eps * d * scale
+    candidate = np.zeros(len(flat), dtype=bool)
+    with np.errstate(all="ignore"):  # inf or nan only follow a failed pivot
+        for k in range(d):
+            pivot = a[k, k].real - shift
+            candidate |= ~(pivot > 0)
+            col = a[k + 1 :, k]
+            for i in range(k + 1, d):  # the lower triangle is all it reads
+                a[i, k + 1 : i + 1] -= col[i - k - 1] / pivot * np.conj(col[: i - k])
+    del a
+    if candidate.all():
+        return batch_min_eigenvalue(stack)
+    out = np.full(len(flat), np.inf)
+    if candidate.any():
+        out[candidate] = batch_min_eigenvalue(flat[candidate])
+    return out.reshape(stack.shape[:-2])

@@ -21,7 +21,11 @@ once per search, and checked against its evaluate_batch on a few seeded
 inputs (ValueError if the map is not linear).  A block of inputs is then
 contracted against all maps of one output dimension with one real matrix
 product; a block holds at most _CHUNK matrices, maps times inputs, and
-must be Hermitian (LinAlgError otherwise).
+must be Hermitian (LinAlgError otherwise; a bound from the templates
+spares the entry-wise check).  Both searches take eigenvalues from
+linalg.min_eigenvalue_below at the floor -tol/2: a matrix it screens out
+has a LAPACK value above the floor, so every input below -tol keeps its
+LAPACK value, and the witnesses are those of an unscreened search.
 """
 
 from __future__ import annotations
@@ -139,7 +143,16 @@ def _monomials(w0, w) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _defects(templates: np.ndarray, d: int, mono: np.ndarray) -> np.ndarray:
+def _template_skew(templates: np.ndarray, d: int) -> float:
+    """|D - D*| <= skew * max_n sum_j |r_nj| entry by entry for the computed
+    D = sum_j r_j T_j: max |T_j - T_j*| plus the product's rounding,
+    80 eps >= 2 sqrt(2) gamma_20 per unit of max |T_j|."""
+    t = templates.reshape(len(templates), -1, d, d)
+    rounding = 80 * np.finfo(float).eps * np.max(np.abs(t))
+    return float(np.max(linalg.hermitian_deviation(t)) + rounding)
+
+
+def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.ndarray:
     """KS defects (N, P, d, d) of the templated maps at the monomial rows.
 
     One real product: sum_k c_k B_k - sum_kl conj(x_k) x_l G_kl is
@@ -148,6 +161,10 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray) -> np.ndarray:
     """
     defect = linalg.thin_matmul(mono, templates.view(float)).view(complex)
     defect = defect.reshape(len(mono), -1, d, d)
+    skew = _template_skew(templates, d) if skew is None else skew
+    # the guard's threshold is at least defect_hermiticity
+    if skew * float(np.max(np.sum(np.abs(mono), axis=1))) <= DEFAULT.defect_hermiticity:
+        return defect
     # |D - D*| entry by entry: twice the imaginary diagonal, then each pair
     # i < j once, which is cheaper than transposing the whole block
     dev = 2.0 * np.max(np.abs(np.diagonal(defect, axis1=-2, axis2=-1).imag))
@@ -174,21 +191,23 @@ def ks_defects(maps, w0, w) -> np.ndarray:
     return _defects(templates, dims.pop(), _monomials(w0, w))
 
 
-def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray):
+def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray, tol: float):
     """Smallest defect eigenvalue of each templated map over all inputs.
 
-    Returns (values, first input index attaining each).  Each block holds
-    at most _CHUNK matrices, maps times inputs; the caller passes at most
-    _CHUNK maps.
+    Returns (values, first input index attaining each); +inf for a map
+    whose defects all screen above -tol/2.  Each block holds at most
+    _CHUNK matrices, maps times inputs; the caller passes at most _CHUNK
+    maps.
     """
     p = templates.shape[1] // (d * d)
     rows = _CHUNK // p
     cols = np.arange(p)
+    skew = _template_skew(templates, d)
     best = np.full(p, np.inf)
     arg = np.zeros(p, dtype=int)
     for lo in range(0, len(w), rows):
         mono = _monomials(w0[lo : lo + rows], w[lo : lo + rows])
-        eigs = linalg.batch_min_eigenvalue(_defects(templates, d, mono)).real
+        eigs = linalg.min_eigenvalue_below(_defects(templates, d, mono, skew), -tol / 2)
         k = np.argmin(eigs, axis=0)
         vals = eigs[k, cols]
         better = vals < best
@@ -249,7 +268,7 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
         for lo in range(0, len(idx), _CHUNK):
             tile = idx[lo : lo + _CHUNK]
             vals, args = _worst_defects(
-                np.concatenate([templates[i] for i in tile], axis=1), d, w0, w
+                np.concatenate([templates[i] for i in tile], axis=1), d, w0, w, cfg.tol
             )
             for i, v, a in zip(tile, vals, args):
                 if v < -cfg.tol:
@@ -290,7 +309,7 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     for lo in range(0, len(w), _CHUNK):
         hi = min(len(w), lo + _CHUNK)
         out = map_obj.evaluate_batch(ones[lo:hi], w[lo:hi])
-        eigs = linalg.batch_min_eigenvalue(out).real
+        eigs = linalg.min_eigenvalue_below(out, -cfg.tol / 2)
         k = int(np.argmin(eigs))
         if eigs[k] < worst_val:
             worst_val = float(eigs[k])

@@ -567,6 +567,24 @@ def test_ks_tensor_sufficient_inconclusive():
     assert tri.status is Status.INCONCLUSIVE
 
 
+def test_tensor_ks_margins_match_complex_form(rng):
+    # the complex-arithmetic form; entries of A, C and w are at most 1, so the
+    # two agree to a few ulps of the O(10) terms
+    w = rng.normal(size=(3000, 3)) + 1j * rng.normal(size=(3000, 3))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    for _ in range(20):
+        A, C = rng.uniform(-1, 1, size=(2, 3, 3))
+        aw, cw = w @ A.T, w @ C.T
+        rhs = (np.sum(np.abs(w) ** 2, axis=-1) - 2.0 * np.sum(np.abs(aw) ** 2, axis=-1)
+               - 2.0 * np.sum(np.abs(cw) ** 2, axis=-1))
+        br = np.cross(w, np.conj(w))
+        lhs = (np.linalg.norm(br @ A.T - 2.0 * np.cross(aw, np.conj(aw)), axis=-1)
+               + np.linalg.norm(br @ C.T - 2.0 * np.cross(cw, np.conj(cw)), axis=-1))
+        got_rhs, got_lhs = classify._tensor_ks_margins(A, C, w)
+        assert np.max(np.abs(got_rhs - rhs)) < 1e-13
+        assert np.max(np.abs(got_lhs - lhs)) < 1e-13
+
+
 def test_ks_tensor_diag_sufficient_cases():
     assert (
         ks_tensor_diag_sufficient(DiagonalTensorParams(0.5, 0.5, 0.5)).status

@@ -149,3 +149,50 @@ def test_thin_matmul_matches_matmul_in_one_thread_slices(rng, monkeypatch, compl
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert np.allclose(got, expected, rtol=1e-13, atol=1e-12)
     assert all(mnk * (4 if cplx else 1) <= linalg._ONE_THREAD_MNK for mnk, cplx in products)
+
+
+def _planted_stack(rng, d, lows):
+    """Hermitian U diag(lam) U* with the smallest eigenvalue of each matrix planted."""
+    z = rng.normal(size=(len(lows), d, d)) + 1j * rng.normal(size=(len(lows), d, d))
+    u = np.linalg.qr(z)[0]
+    lam = np.asarray(lows)[:, None] + np.abs(rng.normal(size=(len(lows), d)))
+    lam[:, 0] = lows
+    return (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+@pytest.mark.parametrize("floor", [-5e-9, -0.25, 0.0, 0.3])
+def test_min_eigenvalue_below_is_exact_at_and_below_floor(rng, d, floor):
+    n = 400
+    lows = np.concatenate([
+        floor * (1 + 1e-6) + np.zeros(n), floor * (1 - 1e-6) + np.zeros(n), np.zeros(n),
+        floor + rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0, size=n),
+    ])
+    stack = _planted_stack(rng, d, lows)
+    # exact rank deficiency: Z Z* with Z of rank d - 1
+    z = rng.normal(size=(n, d, d - 1)) + 1j * rng.normal(size=(n, d, d - 1))
+    stack = np.concatenate([stack, z @ np.conj(np.swapaxes(z, -1, -2)), [random_hermitian(rng, d)]])
+    exact = linalg.batch_min_eigenvalue(stack)
+    got = linalg.min_eigenvalue_below(stack, floor)
+    low = exact <= floor
+    assert low.any() and (~low).any()
+    assert np.array_equal(got[low], exact[low])
+    finite = np.isfinite(got)
+    assert np.array_equal(got[finite], exact[finite])
+    assert np.all(got[~finite] == np.inf)
+    # stacked shapes come back in the same shape
+    again = linalg.min_eigenvalue_below(stack[:-1].reshape(-1, 4, d, d), floor)
+    assert np.array_equal(again.reshape(-1), got[:-1])
+
+
+def test_min_eigenvalue_below_certifies_positive_definite(rng):
+    z = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    stack = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(4)
+    assert np.all(linalg.min_eigenvalue_below(stack, -5e-9) == np.inf)
+    assert np.all(np.isfinite(linalg.min_eigenvalue_below(-stack, -5e-9)))
+
+
+def test_min_eigenvalue_below_2x2_is_the_closed_form(rng):
+    stack = np.array([random_hermitian(rng, 2) for _ in range(50)]).reshape(5, 10, 2, 2)
+    closed_form = linalg.batch_min_eigenvalue(stack)
+    assert np.array_equal(linalg.min_eigenvalue_below(stack, -5e-9), closed_form)

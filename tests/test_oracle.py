@@ -26,6 +26,7 @@ from ksq.oracle import (
     sample_unit_sphere,
 )
 from ksq.pauli import PauliElement, star_square, star_square_coeffs, to_matrix, to_matrix_batch
+from ksq.tolerances import DEFAULT
 
 
 def test_sample_config_validation():
@@ -408,3 +409,122 @@ def test_search_guards():
         ks_violation_search_many([QubitChannel.identity(), _AffineChannel()], cfg)
     with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
         ks_violation_search(_NonHermitianChannel(), cfg)
+
+
+# --- the LDL^H screen against the all-eigvalsh search ----------------------
+
+
+def _eigvalsh_worst_defects(templates, d, w0, w, tol):
+    """The search loop before the screen: every defect's eigenvalue from LAPACK."""
+    p = templates.shape[1] // (d * d)
+    rows = oracle._CHUNK // p
+    cols = np.arange(p)
+    best = np.full(p, np.inf)
+    arg = np.zeros(p, dtype=int)
+    for lo in range(0, len(w), rows):
+        mono = oracle._monomials(w0[lo : lo + rows], w[lo : lo + rows])
+        eigs = linalg.batch_min_eigenvalue(oracle._defects(templates, d, mono)).real
+        k = np.argmin(eigs, axis=0)
+        vals = eigs[k, cols]
+        better = vals < best
+        best[better] = vals[better]
+        arg[better] = lo + k[better]
+    return best, arg
+
+
+def _eigvalsh_positivity_search(map_obj, cfg):
+    """positivity_violation_search before the screen."""
+    parts = [np.concatenate([np.eye(3), -np.eye(3)])] if cfg.probe_set_enabled else []
+    parts.append(sample_unit_ball(cfg.n_samples, cfg.seed))
+    w = np.concatenate(parts).astype(complex)
+    ones = np.ones(len(w), dtype=complex)
+    worst_val, worst_idx = np.inf, -1
+    for lo in range(0, len(w), oracle._CHUNK):
+        hi = min(len(w), lo + oracle._CHUNK)
+        eigs = linalg.batch_min_eigenvalue(map_obj.evaluate_batch(ones[lo:hi], w[lo:hi])).real
+        k = int(np.argmin(eigs))
+        if eigs[k] < worst_val:
+            worst_val, worst_idx = float(eigs[k]), lo + k
+    if worst_val < -cfg.tol:
+        return Witness(PauliElement(1.0, w[worst_idx]), worst_val, "Positivity")
+    return None
+
+
+def _same_witness(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.defect_kind == b.defect_kind and a.x.w0 == b.x.w0
+            and a.x.w.tobytes() == b.x.w.tobytes() and a.violation == b.violation)
+
+
+def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
+    cp_tensor = TensorMap.scalar(ScalarPairParams(0.3, 0.2))
+    wide = TensorMap.scalar(ScalarPairParams(0.6, 0.55))
+    transpose = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
+    cp_tdiag = TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15))
+    maps = [cp_tensor, wide, TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0])),
+            conjugate_by_unitaries(transpose, random_unitary(rng), random_unitary(rng)),
+            conjugate_by_unitaries(QubitChannel(np.diag([0.5, 0.3, 0.2])), random_unitary(rng),
+                                   random_unitary(rng)),
+            convex_combination(cp_tensor, wide, 0.5),
+            convex_combination(cp_tensor, cp_tdiag, 0.4)]
+    maps += [TensorMap(*rng.uniform(-0.6, 0.6, size=(2, 3, 3))) for _ in range(12)]
+    cfg = SampleConfig(n_samples=3000, seed=11)
+    screened = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
+    together = ks_violation_search_many(maps, cfg)
+    monkeypatch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
+    reference = [(ks_violation_search(m, cfg), _eigvalsh_positivity_search(m, cfg)) for m in maps]
+    assert any(ks is not None for ks, _ in reference) and any(ks is None for ks, _ in reference)
+    assert any(pos is not None for _, pos in reference) and any(pos is None for _, pos in reference)
+    for (ks, pos), (ref_ks, ref_pos), many in zip(screened, reference, together, strict=True):
+        assert _same_witness(ks, ref_ks) and _same_witness(many, ref_ks)
+        assert _same_witness(pos, ref_pos)
+
+
+def test_lapack_sees_only_unscreened_defects(monkeypatch):
+    sizes = []
+    original = linalg.batch_min_eigenvalue
+
+    def recording(stack):
+        sizes.append(int(np.prod(np.shape(stack)[:-2])))
+        return original(stack)
+
+    monkeypatch.setattr(linalg, "batch_min_eigenvalue", recording)
+    cfg = SampleConfig(n_samples=10000, seed=7)
+    assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.3, 0.2)), cfg) is None
+    assert sizes == []
+    assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.6, 0.55)), cfg) is not None
+    assert sum(sizes) == len(classify.ks_probe_vectors()) + cfg.n_samples
+    assert max(sizes) <= oracle._CHUNK
+
+
+def test_template_skew_bounds_block_hermiticity(rng):
+    maps = [
+        TensorMap.scalar(ScalarPairParams(0.6, 0.55)),
+        TensorMap(*rng.uniform(-1, 1, size=(2, 3, 3))),
+        QubitChannel(rng.uniform(-1, 1, size=(3, 3))),
+        conjugate_by_unitaries(QubitChannel(np.diag([0.5, 0.3, -0.2])), random_unitary(rng),
+                               random_unitary(rng)),
+        convex_combination(TensorMap.scalar(ScalarPairParams(0.3, 0.2)),
+                           TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15)), 0.4),
+        _NonUnitalChannel(np.diag([0.9, -0.9, 0.5])),
+        _NonHermitianChannel(),
+    ]
+    z = rng.normal(size=(2000, 8))
+    w = z[:, 2:5] + 1j * z[:, 5:]
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    for shifted, w0 in enumerate((np.zeros(len(z), dtype=complex), 3.0 * (z[:, 0] + 1j * z[:, 1]))):
+        mono = oracle._monomials(w0, w)
+        for m in maps:
+            t = oracle._ks_template(m)
+            defect = linalg.thin_matmul(mono, t.view(float)).view(complex)
+            defect = defect.reshape(len(mono), m.out_dim, m.out_dim)
+            dev = float(np.max(linalg.hermitian_deviation(defect)))
+            scale = float(np.max(np.sum(np.abs(mono), axis=1)))
+            bound = oracle._template_skew(t, m.out_dim) * scale
+            assert dev <= bound
+            if isinstance(m, _NonHermitianChannel):
+                assert bound > DEFAULT.defect_hermiticity
+            elif not shifted:
+                # unit inputs: the entry-wise check is skipped
+                assert bound <= DEFAULT.defect_hermiticity
