@@ -22,7 +22,7 @@ import numpy as np
 from . import pauli
 from .linalg import adjoint, thin_matmul
 from .pauli import ID2, PauliElement, from_matrix, to_matrix, to_matrix_batch
-from .tolerances import DEFAULT
+from .tolerances import BOUNDARY, UNITARITY
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ class DiagonalParams:
 
     def __post_init__(self):
         for v in (self.lam1, self.lam2, self.lam3):
-            if not np.isfinite(v) or abs(v) > 1.0 + DEFAULT.boundary:
+            if not np.isfinite(v) or abs(v) > 1.0 + BOUNDARY:
                 raise ValueError(f"diagonal channel parameters must lie in [-1, 1], got {v}")
 
     def as_array(self) -> np.ndarray:
@@ -57,7 +57,7 @@ class DiagonalTensorParams:
 
     def __post_init__(self):
         for v in (self.lam1, self.lam2, self.lam3):
-            if not np.isfinite(v) or abs(v) > 0.5 + DEFAULT.boundary:
+            if not np.isfinite(v) or abs(v) > 0.5 + BOUNDARY:
                 raise ValueError(f"diagonal tensor parameters must lie in [-1/2, 1/2], got {v}")
 
     def as_array(self) -> np.ndarray:
@@ -255,7 +255,7 @@ def conjugate_by_unitaries(ch, U, V) -> ConjugatedMap:
     for name, M in (("U", U), ("V", V)):
         if M.shape != (2, 2):
             raise ValueError(f"{name} must be a 2x2 matrix")
-        if np.max(np.abs(M @ adjoint(M) - ID2)) > DEFAULT.unitarity:
+        if np.max(np.abs(M @ adjoint(M) - ID2)) > UNITARITY:
             raise ValueError(f"{name} is not unitary within tolerance")
     if ch.out_dim != 2:
         raise ValueError("conjugation closure is defined for qubit channels")

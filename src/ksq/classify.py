@@ -522,16 +522,8 @@ def ks_tensor_sufficient(
 
 def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) -> TriState:
     """Closed-form sufficient KS test for the diagonal tensor family."""
-    l1, l2, l3 = p.lam1, p.lam2, p.lam3
-    lhs = 4.0 * (1.0 + 8.0 * l1 * l2 * l3)
-    rhs = np.array(
-        [
-            (1 + 4 * l1 * l1) * (3 + 4 * l2 * l2 + 4 * l3 * l3 - 4 * l1 * l1),
-            (1 + 4 * l2 * l2) * (3 + 4 * l1 * l1 + 4 * l3 * l3 - 4 * l2 * l2),
-            (1 + 4 * l3 * l3) * (3 + 4 * l1 * l1 + 4 * l2 * l2 - 4 * l3 * l3),
-        ]
-    )
-    res = rhs - lhs
+    # the channel inequalities at 2*lam; doubling is exact
+    res = diag_ks_residuals(2.0 * p.lam1, 2.0 * p.lam2, 2.0 * p.lam3)
     if all_hold(res, tols.positivity):
         return TriState(Status.HOLDS_SUFFICIENT, "diagonal tensor KS inequalities hold")
     worst = int(np.argmax(res > tols.positivity)) + 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, JACOBI_OFF, PAIR_GAP
 
 MAX_DIM = 8
 _JACOBI_SWEEPS = 50
@@ -47,12 +47,12 @@ def thin_matmul(a, b) -> np.ndarray:
     return out.reshape(a.shape[:-1] + (b.shape[1],))
 
 
-def _as_square(a, max_dim: int = MAX_DIM) -> np.ndarray:
+def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[-1] > max_dim:
-        raise ValueError(f"dimension {a.shape[-1]} exceeds the {max_dim}x{max_dim} kernel limit")
+    if a.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[-1]} exceeds the {MAX_DIM}x{MAX_DIM} kernel limit")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix entries must be finite")
     return a
@@ -138,19 +138,21 @@ def _jacobi_symmetric(mats: np.ndarray, off_rel: float) -> np.ndarray:
     return eig
 
 
-def hermitian_eigenvalues(a, herm_tol: float = DEFAULT.hermiticity) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or stack), ascending.
 
     H = X + iY is reduced to the real symmetric embedding
     [[X, -Y], [Y, X]], diagonalised by cyclic Jacobi rotations, and the
     doubled spectrum is collapsed by pairing adjacent sorted values.
-    Raises ValueError when the input is not Hermitian within herm_tol
-    and LinAlgError on non-convergence.
+    Raises ValueError when the input is not Hermitian within
+    DEFAULT.hermiticity and LinAlgError on non-convergence.
     """
     a = _as_square(a)
     dev = float(np.max(hermitian_deviation(a)))
-    if dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {herm_tol:.3e}")
+    if dev > DEFAULT.hermiticity:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} > {DEFAULT.hermiticity:.3e}"
+        )
     shape = a.shape
     n = shape[-1]
     stack = a.reshape(-1, n, n)
@@ -161,20 +163,20 @@ def hermitian_eigenvalues(a, herm_tol: float = DEFAULT.hermiticity) -> np.ndarra
     emb[:, n:, n:] = stack.real
     emb[:, :n, n:] = -stack.imag
     emb[:, n:, :n] = stack.imag
-    doubled = _jacobi_symmetric(emb, DEFAULT.jacobi_off)
+    doubled = _jacobi_symmetric(emb, JACOBI_OFF)
 
     pairs = doubled.reshape(batch, n, 2)
     gap = np.abs(pairs[:, :, 1] - pairs[:, :, 0])
     scale = np.maximum(1.0, np.sqrt(np.einsum("bij,bij->b", np.abs(stack), np.abs(stack))))
-    if np.any(gap > DEFAULT.pair_gap * scale[:, None]):
+    if np.any(gap > PAIR_GAP * scale[:, None]):
         raise LinAlgError("doubled spectrum of the embedding failed to pair up")
     eig = pairs.mean(axis=2)
     return eig.reshape(shape[:-2] + (n,))
 
 
-def min_eigenvalue(a, herm_tol: float = DEFAULT.hermiticity):
+def min_eigenvalue(a):
     """Smallest Hermitian eigenvalue (first entry of hermitian_eigenvalues)."""
-    eig = hermitian_eigenvalues(a, herm_tol=herm_tol)
+    eig = hermitian_eigenvalues(a)
     out = eig[..., 0]
     return float(out) if out.ndim == 0 else out
 

@@ -38,19 +38,25 @@ import numpy as np
 from . import channels, classify, linalg
 from .channels import QubitChannel, TensorMap
 from .pauli import PauliElement, star_square_coeffs
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, DEFECT_HERMITICITY, LINEARITY, SHIFT_REDUCTION
 
 _CHUNK = 8192
+# a KS verdict that fails needs an oracle witness below -_WITNESS_FLOOR
+# to count as agreeing in agreement_harness
+_WITNESS_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Budget and thresholds for a brute-force search."""
+    """Budget and threshold of a brute-force search.
+
+    n_samples random inputs drawn from seed, after the deterministic
+    probe set; a defect eigenvalue below -tol is a witness.
+    """
 
     n_samples: int = 10000
     seed: int = 7
     tol: float = DEFAULT.ks_violation
-    probe_set_enabled: bool = True
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -68,35 +74,30 @@ class Witness:
     defect_kind: str  # "KS" or "Positivity"
 
 
+def _substreams(n: int, seed: int):
+    """(generator, rows) pairs covering n rows, one seed-derived substream per _CHUNK rows."""
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + _CHUNK - 1) // _CHUNK)):
+        yield np.random.default_rng(child), min(_CHUNK, n - i * _CHUNK)
+
+
 def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
     """n deterministic points on the unit sphere of C^3 (chunked substreams)."""
     chunks = []
-    seq = np.random.SeedSequence(seed)
-    remaining = n
-    for child in seq.spawn((n + _CHUNK - 1) // _CHUNK):
-        take = min(_CHUNK, remaining)
-        g = np.random.default_rng(child)
+    for g, take in _substreams(n, seed):
         z = g.normal(size=(take, 6))
         w = z[:, :3] + 1j * z[:, 3:]
         w /= np.linalg.norm(w, axis=1)[:, None]
         chunks.append(w)
-        remaining -= take
     return np.concatenate(chunks)
 
 
 def sample_unit_ball(n: int, seed: int) -> np.ndarray:
     """n deterministic real vectors uniform in the closed unit ball."""
     chunks = []
-    seq = np.random.SeedSequence(seed)
-    remaining = n
-    for child in seq.spawn((n + _CHUNK - 1) // _CHUNK):
-        take = min(_CHUNK, remaining)
-        g = np.random.default_rng(child)
+    for g, take in _substreams(n, seed):
         v = g.normal(size=(take, 3))
-        v /= np.linalg.norm(v, axis=1)[:, None]
         r = g.random(take) ** (1.0 / 3.0)
-        chunks.append(v * r[:, None])
-        remaining -= take
+        chunks.append(v / np.linalg.norm(v, axis=1)[:, None] * r[:, None])
     return np.concatenate(chunks)
 
 
@@ -120,7 +121,7 @@ def _ks_template(map_obj) -> np.ndarray:
     out = map_obj.evaluate_batch(x[:, 0], x[:, 1:])
     basis, direct = out[:4], out[4:]
     dev = float(np.max(np.abs(direct - np.einsum("nk,kij->nij", x[4:], basis))))
-    if dev > DEFAULT.linearity * max(1.0, float(np.max(np.abs(direct)))):
+    if dev > LINEARITY * max(1.0, float(np.max(np.abs(direct)))):
         raise ValueError(f"map is not linear in (w0, w): template deviation {dev:.3e}")
     gram = np.conj(np.swapaxes(basis, -1, -2))[:, None] @ basis[None, :]
     k, l = _PAIRS
@@ -162,15 +163,15 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.n
     defect = linalg.thin_matmul(mono, templates.view(float)).view(complex)
     defect = defect.reshape(len(mono), -1, d, d)
     skew = _template_skew(templates, d) if skew is None else skew
-    # the guard's threshold is at least defect_hermiticity
-    if skew * float(np.max(np.sum(np.abs(mono), axis=1))) <= DEFAULT.defect_hermiticity:
+    # the guard's threshold is at least DEFECT_HERMITICITY
+    if skew * float(np.max(np.sum(np.abs(mono), axis=1))) <= DEFECT_HERMITICITY:
         return defect
     # |D - D*| entry by entry: twice the imaginary diagonal, then each pair
     # i < j once, which is cheaper than transposing the whole block
     dev = 2.0 * np.max(np.abs(np.diagonal(defect, axis1=-2, axis2=-1).imag))
     for i, j in zip(*np.triu_indices(d, 1)):
         dev = max(dev, np.max(np.abs(defect[..., i, j] - np.conj(defect[..., j, i]))))
-    if dev > DEFAULT.defect_hermiticity * max(1.0, float(np.max(np.abs(defect)))):
+    if dev > DEFECT_HERMITICITY * max(1.0, float(np.max(np.abs(defect)))):
         raise np.linalg.LinAlgError(f"KS defect lost Hermiticity ({dev:.3e})")
     return defect
 
@@ -231,7 +232,7 @@ def _shift_reduction_holds(templates: np.ndarray, d: int, seed: int) -> bool:
         linalg.batch_min_eigenvalue(_defects(templates, d, _monomials(w0, w))).real
         for w0 in (np.zeros(4, dtype=complex), t)
     )
-    return bool(np.max(np.abs(base - shifted)) <= DEFAULT.shift_reduction)
+    return bool(np.max(np.abs(base - shifted)) <= SHIFT_REDUCTION)
 
 
 def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
@@ -250,10 +251,9 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
         for m, t in zip(maps, templates)
     ]
 
-    w = sample_unit_sphere(cfg.n_samples, cfg.seed)
-    if cfg.probe_set_enabled:
-        probes = classify.ks_probe_vectors()
-        w = np.concatenate([probes / np.linalg.norm(probes, axis=1)[:, None], w])
+    probes = classify.ks_probe_vectors()
+    probes = probes / np.linalg.norm(probes, axis=1)[:, None]
+    w = np.concatenate([probes, sample_unit_sphere(cfg.n_samples, cfg.seed)])
     w0_of = {True: np.zeros(len(w), dtype=complex)}
     if not all(w0_free):
         g = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
@@ -280,8 +280,8 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
 def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[Witness]:
     """Search for an input violating map(x)* map(x) <= map(x*x).
 
-    Evaluates the defect on the deterministic probe set (when enabled)
-    and cfg.n_samples random unit vectors with w0 = 0; the translation
+    Evaluates the defect on the deterministic probe set and
+    cfg.n_samples random unit vectors with w0 = 0; the translation
     reduction justifying w0 = 0 is re-verified empirically for closure
     maps, falling back to sampled w0 otherwise.  Returns the worst
     witness (the first input attaining the smallest defect eigenvalue)
@@ -294,14 +294,10 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     """Search for a positive input mapped to a non-positive output.
 
     Inputs are x = 1 + w.s with real w in the closed unit ball (positive
-    by construction); the probe set adds the six axis boundary points.
+    by construction), after the six axis boundary points.
     """
-    parts = []
-    if cfg.probe_set_enabled:
-        axes = np.concatenate([np.eye(3), -np.eye(3)])
-        parts.append(axes)
-    parts.append(sample_unit_ball(cfg.n_samples, cfg.seed))
-    w = np.concatenate(parts).astype(complex)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    w = np.concatenate([axes, sample_unit_ball(cfg.n_samples, cfg.seed)]).astype(complex)
     ones = np.ones(len(w), dtype=complex)
 
     worst_val = np.inf
@@ -341,9 +337,7 @@ class HarnessReport:
         self.details.append((kind, where, info))
 
 
-def agreement_harness(
-    family: str, grid: int, cfg: SampleConfig = SampleConfig(), witness_floor: float = 1e-6
-) -> HarnessReport:
+def agreement_harness(family: str, grid: int, cfg: SampleConfig = SampleConfig()) -> HarnessReport:
     """Cross-validate the family classifiers against the oracle on a grid.
 
     The grid spans the family's harness box in every parameter (grid >= 1
@@ -351,7 +345,7 @@ def agreement_harness(
     its Choi spectrum.  The KS verdict is checked against the oracle
     unless it is INCONCLUSIVE, which counts as resolved by the oracle: a
     verdict that holds must leave the oracle clean, and one that fails
-    needs an oracle witness below -witness_floor.  All checked points go
+    needs an oracle witness below -_WITNESS_FLOOR (1e-6).  All checked points go
     to one ks_violation_search_many call, so they share one draw.
     """
     fam = channels.FAMILIES.get(family)
@@ -391,7 +385,7 @@ def agreement_harness(
             else:
                 report.discrepancies += 1
                 report.note("ks", where, f"{ks.status.value}, oracle {wit.violation:.3e}")
-        elif wit is not None and wit.violation < -witness_floor:
+        elif wit is not None and wit.violation < -_WITNESS_FLOOR:
             report.agree += 1
         else:
             report.discrepancies += 1

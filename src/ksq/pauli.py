@@ -48,11 +48,12 @@ class PauliElement:
         object.__setattr__(self, "w0", complex(self.w0))
         object.__setattr__(self, "w", _c3(self.w))
 
-    def is_self_adjoint(self, tol: float = DEFAULT.hermiticity) -> bool:
-        return abs(self.w0.imag) <= tol and float(np.max(np.abs(self.w.imag))) <= tol
+    def is_self_adjoint(self) -> bool:
+        imag = np.concatenate([[self.w0.imag], self.w.imag])
+        return float(np.max(np.abs(imag))) <= DEFAULT.hermiticity
 
-    def close_to(self, other: "PauliElement", tol: float = 1e-12) -> bool:
-        return abs(self.w0 - other.w0) <= tol and bool(np.all(np.abs(self.w - other.w) <= tol))
+    def close_to(self, other: "PauliElement") -> bool:
+        return abs(self.w0 - other.w0) <= 1e-12 and bool(np.all(np.abs(self.w - other.w) <= 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +82,9 @@ class TensorPauliElement:
         object.__setattr__(self, "w", _c3(self.w))
         object.__setattr__(self, "r", _c3(self.r))
 
-    def is_self_adjoint(self, tol: float = DEFAULT.hermiticity) -> bool:
-        return (
-            abs(self.w0.imag) <= tol
-            and float(np.max(np.abs(self.w.imag))) <= tol
-            and float(np.max(np.abs(self.r.imag))) <= tol
-        )
+    def is_self_adjoint(self) -> bool:
+        imag = np.concatenate([[self.w0.imag], self.w.imag, self.r.imag])
+        return float(np.max(np.abs(imag))) <= DEFAULT.hermiticity
 
 
 def to_matrix(x: PauliElement) -> np.ndarray:
@@ -139,12 +137,12 @@ def star_square(x: PauliElement) -> PauliElement:
     return PauliElement(complex(c0), cvec)
 
 
-def is_positive_qubit(x: PauliElement, tol: float = DEFAULT.positivity) -> bool:
-    """Positivity test ||w|| <= w0 for self-adjoint x, closed with tol."""
+def is_positive_qubit(x: PauliElement) -> bool:
+    """Positivity test ||w|| <= w0 for self-adjoint x, closed with DEFAULT.positivity."""
     if not x.is_self_adjoint():
         raise ValueError("positivity test requires a self-adjoint element")
     w0 = x.w0.real
-    return w0 >= 0.0 and float(np.linalg.norm(x.w.real)) <= w0 + tol
+    return w0 >= 0.0 and float(np.linalg.norm(x.w.real)) <= w0 + DEFAULT.positivity
 
 
 def tensor_simple_spectrum(x: TensorPauliElement) -> np.ndarray:

@@ -219,25 +219,14 @@ def test_criterion_7_figure2_regions():
     lams = X[outside]
     mus = Y[outside]
 
-    # oracle-clean check at 10^4 samples for every qualifying point, using
-    # the same inputs the sampling oracle draws (probes plus sphere samples)
-    probes = classify.ks_probe_vectors()
-    probes = probes / np.linalg.norm(probes, axis=1)[:, None]
-    w = np.concatenate([probes, oracle.sample_unit_sphere(10000, seed=7)])
+    # oracle-clean at 10^4 samples for every qualifying point, on one shared draw
     maps = [TensorMap.scalar(ScalarPairParams(float(lam), float(mu))) for lam, mu in zip(lams, mus)]
     tol = 1e-8
-    dirty = []
-    group = 8
-    for lo in range(0, len(maps), group):
-        d = oracle.ks_defects(maps[lo : lo + group], 0.0, w)
-        try:
-            np.linalg.cholesky(d + tol * np.eye(4))
-        except np.linalg.LinAlgError:
-            lows = np.linalg.eigvalsh(d)[..., 0].min(axis=0)
-            dirty += [(lams[lo + j], mus[lo + j]) for j in np.flatnonzero(lows < -tol)]
+    found = oracle.ks_violation_search_many(maps, SampleConfig(n_samples=10000, seed=7, tol=tol))
+    dirty = [(lams[k], mus[k]) for k, wit in enumerate(found) if wit is not None]
     assert dirty == [], dirty[:5]
 
-    # tie the vectorised screen to the literal oracle on a subsample
+    # tie the batched search to the literal per-map oracle on a subsample
     rng = np.random.default_rng(77)
     idx = rng.choice(len(lams), size=40, replace=False)
     for k in idx:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -757,6 +758,9 @@ def test_choi_min_eigenvalues_stack_matches_jacobi(rng):
 
 
 def test_custom_tolerances_are_honoured():
+    assert {f.name for f in fields(Tolerances)} == {
+        "hermiticity", "positivity", "ks_violation", "tensor_ks_slack"
+    }
     loose = Tolerances(hermiticity=1e-8, positivity=1e-6, tensor_ks_slack=1e-8)
 
     # a defect 1e-9 away from Hermitian: rejected by default, accepted loosely
@@ -786,6 +790,14 @@ def test_custom_tolerances_are_honoured():
     assert ks_tensor_sufficient(m, 500, seed=5, tols=loose).status is Status.HOLDS_SUFFICIENT
     verdict = classify_full(("tmat", m), n_samples=500, seed=5, tols=loose)
     assert verdict.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
+
+    # just outside the KS region: a defect of -3e-7 is a certificate by
+    # default, but not below -ks_violation = -1e-6
+    p = DiagonalParams(0.5000001, 0.5000001, -0.5000001)
+    tri = ks_phi_diag_exact(p)
+    assert tri.status is Status.FAILS and -1e-6 < tri.witness[1] < -1e-8
+    tri = ks_phi_diag_exact(p, Tolerances(ks_violation=1e-6))
+    assert tri.status is Status.FAILS and tri.witness is None
 
 
 # --- redundancy claims ------------------------------------------------------

@@ -26,7 +26,7 @@ from ksq.oracle import (
     sample_unit_sphere,
 )
 from ksq.pauli import PauliElement, star_square, star_square_coeffs, to_matrix, to_matrix_batch
-from ksq.tolerances import DEFAULT
+from ksq.tolerances import DEFECT_HERMITICITY
 
 
 def test_sample_config_validation():
@@ -228,12 +228,9 @@ def _reference_search(map_obj, cfg):
         np.max(np.abs(_reference_defect_eigs(map_obj, np.zeros(4, dtype=complex), w)
                       - _reference_defect_eigs(map_obj, t, w))) <= 1e-8
     )
-    parts = []
-    if cfg.probe_set_enabled:
-        probes = classify.ks_probe_vectors()
-        parts.append(probes / np.linalg.norm(probes, axis=1)[:, None])
-    parts.append(sample_unit_sphere(cfg.n_samples, cfg.seed))
-    w = np.concatenate(parts)
+    probes = classify.ks_probe_vectors()
+    probes = probes / np.linalg.norm(probes, axis=1)[:, None]
+    w = np.concatenate([probes, sample_unit_sphere(cfg.n_samples, cfg.seed)])
     if w0_free:
         w0 = np.zeros(len(w), dtype=complex)
     else:
@@ -434,9 +431,8 @@ def _eigvalsh_worst_defects(templates, d, w0, w, tol):
 
 def _eigvalsh_positivity_search(map_obj, cfg):
     """positivity_violation_search before the screen."""
-    parts = [np.concatenate([np.eye(3), -np.eye(3)])] if cfg.probe_set_enabled else []
-    parts.append(sample_unit_ball(cfg.n_samples, cfg.seed))
-    w = np.concatenate(parts).astype(complex)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    w = np.concatenate([axes, sample_unit_ball(cfg.n_samples, cfg.seed)]).astype(complex)
     ones = np.ones(len(w), dtype=complex)
     worst_val, worst_idx = np.inf, -1
     for lo in range(0, len(w), oracle._CHUNK):
@@ -524,7 +520,7 @@ def test_template_skew_bounds_block_hermiticity(rng):
             bound = oracle._template_skew(t, m.out_dim) * scale
             assert dev <= bound
             if isinstance(m, _NonHermitianChannel):
-                assert bound > DEFAULT.defect_hermiticity
+                assert bound > DEFECT_HERMITICITY
             elif not shifted:
                 # unit inputs: the entry-wise check is skipped
-                assert bound <= DEFAULT.defect_hermiticity
+                assert bound <= DEFECT_HERMITICITY
