@@ -3,8 +3,9 @@
 Adjoints, Kronecker products, thin matrix products and Hermitian
 eigenvalues.  ``batch_min_eigenvalue`` (closed form for 2x2, LAPACK
 otherwise) is the production eigen path.  The sampling oracle calls it
-through ``min_eigenvalue_below``, whose batched LDL^H screen sends only
-the matrices that may lie below a floor to LAPACK.
+through ``min_eigenvalue_below``, whose batched LDL^H screen runs in real
+arithmetic on the entries the elimination reads and sends only the
+matrices that may lie below a floor to LAPACK.
 ``hermitian_eigenvalues`` is an in-house cyclic Jacobi iteration on the
 real-symmetric embedding [[X, -Y], [Y, X]] of H = X + iY; it accepts
 stacks of matrices and is only the reference solver that the spectrum
@@ -27,13 +28,30 @@ _JACOBI_SWEEPS = 50
 # thin products here the hand-off costs more than the arithmetic, and it
 # waits as long as the other cores are busy, so run times stop repeating.
 _ONE_THREAD_MNK = 1 << 18
+# BLAS sends a product of one row or one column to another kernel (gemv),
+# and narrow edges of a product may take other paths too; these round
+# differently.  thin_matmul slices no finer than this many rows or columns.
+_MIN_SLICE = 8
+
+
+def _slices(n: int, step: int):
+    """Slices of step items over range(n); a last slice shorter than
+    _MIN_SLICE starts earlier instead, overlapping the one before it."""
+    for lo in range(0, n, step):
+        lo = max(0, min(lo, n - _MIN_SLICE))
+        yield slice(lo, lo + step)
 
 
 def thin_matmul(a, b) -> np.ndarray:
     """a @ b for a tall stack a (..., k) and a small matrix b (k, n).
 
     The rows of a go through BLAS in slices small enough to stay on the
-    calling thread (see _ONE_THREAD_MNK).
+    calling thread (see _ONE_THREAD_MNK).  A slice holds at least
+    _MIN_SLICE rows when a has that many; for a b too wide for that, the
+    columns are sliced too, in multiples of _MIN_SLICE.  With OpenBLAS an
+    entry of the product then gets the same bits whether b comes alone or
+    as a column block of a wider matrix, as long as a has _MIN_SLICE rows
+    (the tests pin this).
     """
     a = np.asarray(a)
     dtype = np.result_type(a, b)
@@ -41,9 +59,14 @@ def thin_matmul(a, b) -> np.ndarray:
     rows = a.reshape(-1, a.shape[-1])
     out = np.empty((len(rows), b.shape[1]), dtype=dtype)
     weight = 4 if np.iscomplexobj(out) else 1
-    step = max(1, _ONE_THREAD_MNK // (weight * b.size))
-    for lo in range(0, len(rows), step):
-        np.matmul(rows[lo : lo + step], b, out=out[lo : lo + step])
+    k, n = b.shape
+    step, cols = _ONE_THREAD_MNK // (weight * b.size), n
+    if step < _MIN_SLICE:
+        step = _MIN_SLICE
+        cols = max(1, _ONE_THREAD_MNK // (weight * k * step * _MIN_SLICE)) * _MIN_SLICE
+    for r in _slices(len(rows), step):
+        for c in _slices(n, cols):
+            np.matmul(rows[r], b[:, c], out=out[r, c])
     return out.reshape(a.shape[:-1] + (b.shape[1],))
 
 
@@ -201,34 +224,63 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0]
 
 
+def _screen_candidates(flat: np.ndarray, floor: float) -> np.ndarray:
+    """True for each matrix of a (N, d, d) Hermitian stack whose LDL^H
+    elimination of flat - s*1, s = floor + margin, meets a pivot <= 0.
+
+    The elimination reads only the real parts of the lower triangle and
+    the imaginary parts of the strict lower triangle.  Those d*d entries
+    are gathered column by column into rows of N reals, and the
+    elimination runs on them in real arithmetic.  Its products round as
+    real ones where numpy's complex product fuses multiply-adds, so its
+    pivots may differ from a complex elimination's in the last bits; the
+    margin covers either.
+    """
+    n, d, _ = flat.shape
+    jr, ir = np.triu_indices(d)
+    ji, ii = np.triu_indices(d, 1)
+    at = np.concatenate([2 * (ir * d + jr), 2 * (ii * d + ji) + 1])
+    rows = np.ascontiguousarray(flat).view(float).reshape(n, -1).T[at]
+    # column k: re[k] holds the real parts of rows k..d-1, im[k] the
+    # imaginary parts of rows k+1..d-1
+    cols = np.split(rows, np.cumsum([*range(d, 0, -1), *range(d - 1, 0, -1)]))
+    re, im = cols[:d], cols[d:]
+    # margin: a generous bound on the backward error of the screen plus the
+    # eigenvalue error of LAPACK, both O(d u ||A||) with ||A|| <= this scale
+    scale = sum(np.abs(r[0]) for r in re) + d * abs(floor)
+    shift = floor + 16 * np.finfo(float).eps * d * scale
+    candidate = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):  # inf or nan only follow a failed pivot
+        for k in range(d):
+            pivot = re[k][0] - shift
+            candidate |= ~(pivot > 0)
+            # q = c / pivot as numpy divides a complex c by a real: c * (1 / pivot)
+            inv = 1.0 / pivot
+            cr, ci = re[k][1:], im[k]
+            qr, qi = cr * inv, ci * inv
+            for m in range(d - 1 - k):
+                # column j = k + 1 + m, rows i >= j: a_ij -= q_i conj(c_j)
+                re[k + 1 + m] -= qr[m:] * cr[m] + qi[m:] * ci[m]
+                im[k + 1 + m] -= qi[m + 1 :] * cr[m] - qr[m + 1 :] * ci[m]
+    return candidate
+
+
 def min_eigenvalue_below(stack: np.ndarray, floor: float) -> np.ndarray:
     """batch_min_eigenvalue where it may be <= floor, +inf elsewhere.
 
     A matrix larger than 2x2 is screened by LDL^H elimination of stack - s*1,
-    s = floor + margin, on one (d, d, N) copy.  Pivots all > 0 make it
-    positive definite up to backward error (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 10), so LAPACK's value lies above floor and
-    +inf is reported.  Only the rest go to batch_min_eigenvalue.
+    s = floor + margin, in real arithmetic on the entries it reads (see
+    _screen_candidates).  Pivots all > 0 make it positive definite up to
+    backward error (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10), so LAPACK's value lies above floor and +inf is reported.  Only
+    the rest go to batch_min_eigenvalue, as they are in stack.
     """
     stack = np.asarray(stack, dtype=complex)
     d = stack.shape[-1]
     if d == 2:
         return batch_min_eigenvalue(stack)
     flat = stack.reshape(-1, d, d)
-    a = np.moveaxis(flat, 0, -1).copy()
-    # margin: a generous bound on the backward error of the screen plus the
-    # eigenvalue error of LAPACK, both O(d u ||A||) with ||A|| <= this scale
-    scale = np.abs(np.einsum("iin->in", a.real)).sum(axis=0) + d * abs(floor)
-    shift = floor + 16 * np.finfo(float).eps * d * scale
-    candidate = np.zeros(len(flat), dtype=bool)
-    with np.errstate(all="ignore"):  # inf or nan only follow a failed pivot
-        for k in range(d):
-            pivot = a[k, k].real - shift
-            candidate |= ~(pivot > 0)
-            col = a[k + 1 :, k]
-            for i in range(k + 1, d):  # the lower triangle is all it reads
-                a[i, k + 1 : i + 1] -= col[i - k - 1] / pivot * np.conj(col[: i - k])
-    del a
+    candidate = _screen_candidates(flat, floor)
     if candidate.all():
         return batch_min_eigenvalue(stack)
     out = np.full(len(flat), np.inf)

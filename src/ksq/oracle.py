@@ -22,10 +22,14 @@ inputs (ValueError if the map is not linear).  A block of inputs is then
 contracted against all maps of one output dimension with one real matrix
 product; a block holds at most _CHUNK matrices, maps times inputs, and
 must be Hermitian (LinAlgError otherwise; a bound from the templates
-spares the entry-wise check).  Both searches take eigenvalues from
-linalg.min_eigenvalue_below at the floor -tol/2: a matrix it screens out
-has a LAPACK value above the floor, so every input below -tol keeps its
-LAPACK value, and the witnesses are those of an unscreened search.
+spares the entry-wise check).  The monomials of the inputs are built once
+per chunk of at most _CHUNK inputs, a whole number of blocks.  A search
+contracts at most _TILE maps at a time, so a block holds at least 8 inputs
+and every defect gets the bits it gets in a search of its map alone.  Both
+searches take eigenvalues from linalg.min_eigenvalue_below at the floor
+-tol/2: a matrix it screens out has a LAPACK value above the floor, so
+every input below -tol keeps its LAPACK value, and the witnesses are
+those of an unscreened search.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .pauli import PauliElement, star_square_coeffs
 from .tolerances import DEFAULT, DEFECT_HERMITICITY, LINEARITY, SHIFT_REDUCTION
 
 _CHUNK = 8192
+# maps per tile: a block then holds at least 8 inputs, and linalg.thin_matmul
+# never narrows its product to fewer rows (see linalg._MIN_SLICE)
+_TILE = _CHUNK // 8
 # a KS verdict that fails needs an oracle witness below -_WITNESS_FLOOR
 # to count as agreeing in agreement_harness
 _WITNESS_FLOOR = 1e-6
@@ -197,23 +204,27 @@ def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray,
 
     Returns (values, first input index attaining each); +inf for a map
     whose defects all screen above -tol/2.  Each block holds at most
-    _CHUNK matrices, maps times inputs; the caller passes at most _CHUNK
-    maps.
+    _CHUNK matrices, maps times inputs; its monomials come from one
+    _monomials call per chunk of at most _CHUNK inputs.  The caller passes
+    at most _TILE maps.
     """
     p = templates.shape[1] // (d * d)
     rows = _CHUNK // p
+    chunk = rows * (_CHUNK // rows)  # whole blocks: only the draw's last block runs short
     cols = np.arange(p)
     skew = _template_skew(templates, d)
     best = np.full(p, np.inf)
     arg = np.zeros(p, dtype=int)
-    for lo in range(0, len(w), rows):
-        mono = _monomials(w0[lo : lo + rows], w[lo : lo + rows])
-        eigs = linalg.min_eigenvalue_below(_defects(templates, d, mono, skew), -tol / 2)
-        k = np.argmin(eigs, axis=0)
-        vals = eigs[k, cols]
-        better = vals < best
-        best[better] = vals[better]
-        arg[better] = lo + k[better]
+    for lo in range(0, len(w), chunk):
+        mono = _monomials(w0[lo : lo + chunk], w[lo : lo + chunk])
+        for at in range(0, len(mono), rows):
+            block = mono[at : at + rows]
+            eigs = linalg.min_eigenvalue_below(_defects(templates, d, block, skew), -tol / 2)
+            k = np.argmin(eigs, axis=0)
+            vals = eigs[k, cols]
+            better = vals < best
+            best[better] = vals[better]
+            arg[better] = lo + at + k[better]
     return best, arg
 
 
@@ -265,8 +276,8 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     found = [None] * len(maps)
     for (free, d), idx in groups.items():
         w0 = w0_of[free]
-        for lo in range(0, len(idx), _CHUNK):
-            tile = idx[lo : lo + _CHUNK]
+        for lo in range(0, len(idx), _TILE):
+            tile = idx[lo : lo + _TILE]
             vals, args = _worst_defects(
                 np.concatenate([templates[i] for i in tile], axis=1), d, w0, w, cfg.tol
             )

@@ -151,6 +151,44 @@ def test_thin_matmul_matches_matmul_in_one_thread_slices(rng, monkeypatch, compl
     assert all(mnk * (4 if cplx else 1) <= linalg._ONE_THREAD_MNK for mnk, cplx in products)
 
 
+def test_thin_matmul_entries_do_not_depend_on_the_slicing(rng):
+    # the oracle contracts one map alone or as a column block of many maps,
+    # on blocks of any height >= 8; every entry must get the same bits
+    a = rng.normal(size=(300, 20))
+    wide = rng.normal(size=(20, 32 * 1024))
+    full = linalg.thin_matmul(a, wide)
+    for lo in (0, 32 * 511, 32 * 1023):
+        assert np.array_equal(linalg.thin_matmul(a, wide[:, lo : lo + 32]), full[:, lo : lo + 32])
+    for rows in (slice(0, 8), slice(100, 109), slice(290, 300)):
+        assert np.array_equal(linalg.thin_matmul(a[rows], wide), full[rows])
+    # a tall product whose last row slice would hold one row
+    tall = rng.normal(size=(409 * 3 + 1, 20))
+    narrow = wide[:, :32]
+    assert np.array_equal(linalg.thin_matmul(tall, narrow)[-8:], linalg.thin_matmul(tall[-8:], narrow))
+
+
+def _complex_min_eigenvalue_below(stack, floor):
+    """min_eigenvalue_below as it was with a complex (d, d, N) elimination copy."""
+    stack = np.asarray(stack, dtype=complex)
+    d = stack.shape[-1]
+    flat = stack.reshape(-1, d, d)
+    a = np.moveaxis(flat, 0, -1).copy()
+    scale = np.abs(np.einsum("iin->in", a.real)).sum(axis=0) + d * abs(floor)
+    shift = floor + 16 * np.finfo(float).eps * d * scale
+    candidate = np.zeros(len(flat), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            pivot = a[k, k].real - shift
+            candidate |= ~(pivot > 0)
+            col = a[k + 1 :, k]
+            for i in range(k + 1, d):
+                a[i, k + 1 : i + 1] -= col[i - k - 1] / pivot * np.conj(col[: i - k])
+    out = np.full(len(flat), np.inf)
+    if candidate.any():
+        out[candidate] = linalg.batch_min_eigenvalue(flat[candidate])
+    return out.reshape(stack.shape[:-2])
+
+
 def _planted_stack(rng, d, lows):
     """Hermitian U diag(lam) U* with the smallest eigenvalue of each matrix planted."""
     z = rng.normal(size=(len(lows), d, d)) + 1j * rng.normal(size=(len(lows), d, d))
@@ -180,6 +218,7 @@ def test_min_eigenvalue_below_is_exact_at_and_below_floor(rng, d, floor):
     finite = np.isfinite(got)
     assert np.array_equal(got[finite], exact[finite])
     assert np.all(got[~finite] == np.inf)
+    assert np.array_equal(got, _complex_min_eigenvalue_below(stack, floor))
     # stacked shapes come back in the same shape
     again = linalg.min_eigenvalue_below(stack[:-1].reshape(-1, 4, d, d), floor)
     assert np.array_equal(again.reshape(-1), got[:-1])
@@ -190,6 +229,25 @@ def test_min_eigenvalue_below_certifies_positive_definite(rng):
     stack = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(4)
     assert np.all(linalg.min_eigenvalue_below(stack, -5e-9) == np.inf)
     assert np.all(np.isfinite(linalg.min_eigenvalue_below(-stack, -5e-9)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_min_eigenvalue_below_matches_the_complex_screen(rng, monkeypatch, d):
+    z = rng.normal(size=(300, d, d)) + 1j * rng.normal(size=(300, d, d))
+    definite = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(d)
+    # no candidate, then every matrix a candidate
+    for stack in (definite, -definite):
+        got = linalg.min_eigenvalue_below(stack, -5e-9)
+        assert np.array_equal(got, _complex_min_eigenvalue_below(stack, -5e-9))
+    assert np.all(np.isfinite(got))
+    # NaN pivots, first and last, in a certified block; LAPACK may reject a
+    # NaN matrix, so a stand-in marks what reaches it
+    nan_pivot = definite.copy()
+    nan_pivot[[7, 100], [0, d - 1], [0, d - 1]] = np.nan
+    monkeypatch.setattr(linalg, "batch_min_eigenvalue", lambda s: np.arange(len(s), dtype=float))
+    got = linalg.min_eigenvalue_below(nan_pivot, -5e-9)
+    assert np.array_equal(got, _complex_min_eigenvalue_below(nan_pivot, -5e-9))
+    assert np.array_equal(np.flatnonzero(np.isfinite(got)), [7, 100])
 
 
 def test_min_eigenvalue_below_2x2_is_the_closed_form(rng):

@@ -340,10 +340,9 @@ def test_search_many_block_bound(monkeypatch):
     assert max(sizes) <= oracle._CHUNK
     assert sum(sizes) == len(maps) * n_inputs
 
-    # more maps than fit one block: tiles of maps, one input per block
+    # more maps than fit one block: tiles of maps, few inputs per block
     sizes.clear()
-    lams = np.random.default_rng(3).uniform(-1, 1, size=(oracle._CHUNK + 5, 3))
-    many = [QubitChannel.diagonal(DiagonalParams(*v)) for v in lams]
+    many = _many_diagonal_maps()
     small = SampleConfig(n_samples=3, seed=7)
     found = ks_violation_search_many(many, small)
     assert max(sizes) <= oracle._CHUNK
@@ -353,6 +352,36 @@ def test_search_many_block_bound(monkeypatch):
         assert (single is None) == (found[k] is None)
         if single is not None:
             assert single.violation == found[k].violation
+    # wide tiles give every map the witness of its own search, bit for bit
+    cfg = SampleConfig(n_samples=200, seed=7)
+    found = ks_violation_search_many(many, cfg)
+    for k in range(0, len(many), 97):
+        assert _same_witness(found[k], ks_violation_search(many[k], cfg))
+
+
+def _many_diagonal_maps():
+    lams = np.random.default_rng(3).uniform(-1, 1, size=(oracle._CHUNK + 5, 3))
+    return [QubitChannel.diagonal(DiagonalParams(*v)) for v in lams]
+
+
+def test_monomials_once_per_chunk_of_inputs(monkeypatch):
+    lengths = []
+    original = oracle._monomials
+
+    def recording(w0, w):
+        lengths.append(len(w))
+        return original(w0, w)
+
+    monkeypatch.setattr(oracle, "_monomials", recording)
+    grid = _grid_maps("phi", 3)
+    for maps, n_samples in ((grid[:1], 10000), (grid, 10000), (_many_diagonal_maps(), 200)):
+        lengths.clear()
+        ks_violation_search_many(maps, SampleConfig(n_samples=n_samples, seed=7))
+        n_inputs = len(classify.ks_probe_vectors()) + n_samples
+        tiles = -(-len(maps) // oracle._TILE)
+        assert max(lengths) <= oracle._CHUNK
+        assert sum(lengths) == tiles * n_inputs
+        assert len(lengths) == tiles * -(-n_inputs // oracle._CHUNK)
 
 
 def test_ks_defects_match_definition(rng):
