@@ -3,9 +3,10 @@
 Adjoints, Kronecker products, thin matrix products and Hermitian
 eigenvalues.  ``batch_min_eigenvalue`` (closed form for 2x2, LAPACK
 otherwise) is the production eigen path.  The sampling oracle calls it
-through ``min_eigenvalue_below``, whose batched LDL^H screen runs in real
-arithmetic on the entries the elimination reads and sends only the
-matrices that may lie below a floor to LAPACK.
+behind ``screen_below``, a batched LDL^H screen in real arithmetic on the
+entries the elimination reads, with one floor per matrix;
+``min_eigenvalue_below`` sends only the matrices that may lie below their
+floor to LAPACK.
 ``hermitian_eigenvalues`` is an in-house cyclic Jacobi iteration on the
 real-symmetric embedding [[X, -Y], [Y, X]] of H = X + iY; it accepts
 stacks of matrices and is only the reference solver that the spectrum
@@ -34,7 +35,7 @@ _ONE_THREAD_MNK = 1 << 18
 _MIN_SLICE = 8
 
 
-def _slices(n: int, step: int):
+def slices(n: int, step: int):
     """Slices of step items over range(n); a last slice shorter than
     _MIN_SLICE starts earlier instead, overlapping the one before it."""
     for lo in range(0, n, step):
@@ -64,8 +65,8 @@ def thin_matmul(a, b) -> np.ndarray:
     if step < _MIN_SLICE:
         step = _MIN_SLICE
         cols = max(1, _ONE_THREAD_MNK // (weight * k * step * _MIN_SLICE)) * _MIN_SLICE
-    for r in _slices(len(rows), step):
-        for c in _slices(n, cols):
+    for r in slices(len(rows), step):
+        for c in slices(n, cols):
             np.matmul(rows[r], b[:, c], out=out[r, c])
     return out.reshape(a.shape[:-1] + (b.shape[1],))
 
@@ -224,19 +225,29 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0]
 
 
-def _screen_candidates(flat: np.ndarray, floor: float) -> np.ndarray:
-    """True for each matrix of a (N, d, d) Hermitian stack whose LDL^H
-    elimination of flat - s*1, s = floor + margin, meets a pivot <= 0.
+def screen_below(stack: np.ndarray, floor) -> np.ndarray:
+    """False for each matrix of a Hermitian stack that an LDL^H screen
+    certifies to have its batch_min_eigenvalue above floor, True for the
+    rest and for every 2x2 matrix.  floor is a scalar or broadcasts to
+    stack.shape[:-2].
 
-    The elimination reads only the real parts of the lower triangle and
-    the imaginary parts of the strict lower triangle.  Those d*d entries
-    are gathered column by column into rows of N reals, and the
-    elimination runs on them in real arithmetic.  Its products round as
-    real ones where numpy's complex product fuses multiply-adds, so its
-    pivots may differ from a complex elimination's in the last bits; the
-    margin covers either.
+    The screen eliminates stack - s*1, s = floor + margin, and a matrix
+    meeting a pivot <= 0 stays a candidate.  Pivots all > 0 make it
+    positive definite up to backward error (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 10).  The elimination reads only the real
+    parts of the lower triangle and the imaginary parts of the strict lower
+    triangle.  Those d*d entries are gathered column by column into rows of
+    N reals, and the elimination runs on them in real arithmetic.  Its
+    products round as real ones where numpy's complex product fuses
+    multiply-adds, so its pivots may differ from a complex elimination's in
+    the last bits; the margin, taken per matrix, covers either.
     """
-    n, d, _ = flat.shape
+    stack = np.asarray(stack, dtype=complex)
+    d = stack.shape[-1]
+    if d == 2:
+        return np.ones(stack.shape[:-2], dtype=bool)
+    flat = stack.reshape(-1, d, d)
+    n = len(flat)
     jr, ir = np.triu_indices(d)
     ji, ii = np.triu_indices(d, 1)
     at = np.concatenate([2 * (ir * d + jr), 2 * (ii * d + ji) + 1])
@@ -247,8 +258,8 @@ def _screen_candidates(flat: np.ndarray, floor: float) -> np.ndarray:
     re, im = cols[:d], cols[d:]
     # margin: a generous bound on the backward error of the screen plus the
     # eigenvalue error of LAPACK, both O(d u ||A||) with ||A|| <= this scale
-    scale = sum(np.abs(r[0]) for r in re) + d * abs(floor)
-    shift = floor + 16 * np.finfo(float).eps * d * scale
+    scale = sum(np.abs(r[0]) for r in re).reshape(stack.shape[:-2]) + d * np.abs(floor)
+    shift = (floor + 16 * np.finfo(float).eps * d * scale).reshape(-1)
     candidate = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):  # inf or nan only follow a failed pivot
         for k in range(d):
@@ -262,28 +273,22 @@ def _screen_candidates(flat: np.ndarray, floor: float) -> np.ndarray:
                 # column j = k + 1 + m, rows i >= j: a_ij -= q_i conj(c_j)
                 re[k + 1 + m] -= qr[m:] * cr[m] + qi[m:] * ci[m]
                 im[k + 1 + m] -= qi[m + 1 :] * cr[m] - qr[m + 1 :] * ci[m]
-    return candidate
+    return candidate.reshape(stack.shape[:-2])
 
 
-def min_eigenvalue_below(stack: np.ndarray, floor: float) -> np.ndarray:
+def min_eigenvalue_below(stack: np.ndarray, floor) -> np.ndarray:
     """batch_min_eigenvalue where it may be <= floor, +inf elsewhere.
 
-    A matrix larger than 2x2 is screened by LDL^H elimination of stack - s*1,
-    s = floor + margin, in real arithmetic on the entries it reads (see
-    _screen_candidates).  Pivots all > 0 make it positive definite up to
-    backward error (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 10), so LAPACK's value lies above floor and +inf is reported.  Only
-    the rest go to batch_min_eigenvalue, as they are in stack.
+    floor is a scalar or broadcasts to stack.shape[:-2], one floor per
+    matrix.  A matrix larger than 2x2 that screen_below certifies has its
+    LAPACK value above its floor and is reported as +inf; every other
+    matrix gets batch_min_eigenvalue of itself, as it is in stack.
     """
     stack = np.asarray(stack, dtype=complex)
-    d = stack.shape[-1]
-    if d == 2:
-        return batch_min_eigenvalue(stack)
-    flat = stack.reshape(-1, d, d)
-    candidate = _screen_candidates(flat, floor)
+    candidate = screen_below(stack, floor)
     if candidate.all():
         return batch_min_eigenvalue(stack)
-    out = np.full(len(flat), np.inf)
+    out = np.full(candidate.shape, np.inf)
     if candidate.any():
-        out[candidate] = batch_min_eigenvalue(flat[candidate])
-    return out.reshape(stack.shape[:-2])
+        out[candidate] = batch_min_eigenvalue(stack[candidate])
+    return out

@@ -24,12 +24,18 @@ product; a block holds at most _CHUNK matrices, maps times inputs, and
 must be Hermitian (LinAlgError otherwise; a bound from the templates
 spares the entry-wise check).  The monomials of the inputs are built once
 per chunk of at most _CHUNK inputs, a whole number of blocks.  A search
-contracts at most _TILE maps at a time, so a block holds at least 8 inputs
-and every defect gets the bits it gets in a search of its map alone.  Both
-searches take eigenvalues from linalg.min_eigenvalue_below at the floor
--tol/2: a matrix it screens out has a LAPACK value above the floor, so
-every input below -tol keeps its LAPACK value, and the witnesses are
-those of an unscreened search.
+contracts at most _TILE maps at a time, and the draw's last block starts
+early rather than run short, so a block holds at least 8 inputs and every
+defect gets the bits it gets in a search of its map alone.
+
+Both searches screen each map's matrices at a floor (linalg.screen_below)
+and send only the rest to LAPACK.  The floor is -tol/2 until the map has a
+LAPACK value below it, then that worst value so far; a block with many
+candidates first takes a pilot of them to lower it.  A matrix screened out
+has a LAPACK value above its floor, which is -tol/2 or the value of an
+earlier input of the same map, so it is neither the first input attaining
+the map's minimum below -tol nor tied with it: the witnesses are those of
+an unscreened search.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ _CHUNK = 8192
 # maps per tile: a block then holds at least 8 inputs, and linalg.thin_matmul
 # never narrows its product to fewer rows (see linalg._MIN_SLICE)
 _TILE = _CHUNK // 8
+# LAPACK values taken from a block's first candidates before the rest are
+# screened again at the lowered floors (see _lowest_eigenvalues)
+_PILOT = 32
 # a KS verdict that fails needs an oracle witness below -_WITNESS_FLOOR
 # to count as agreeing in agreement_harness
 _WITNESS_FLOOR = 1e-6
@@ -199,32 +208,74 @@ def ks_defects(maps, w0, w) -> np.ndarray:
     return _defects(templates, dims.pop(), _monomials(w0, w))
 
 
+def _lowest_eigenvalues(stack: np.ndarray, floor) -> np.ndarray:
+    """Smallest eigenvalues of a stack (N, ..., d, d) of N inputs to the
+    maps on the middle axes, +inf where linalg.screen_below certifies them
+    above floor, a scalar or one per map.  Past 2*_PILOT candidates, the
+    first _PILOT go to LAPACK, each map's floor drops to the smallest value
+    it got there, and the stack is screened again; only candidates of both
+    screens go on to LAPACK.  A matrix left at +inf thus has a LAPACK value
+    above its floor or above an earlier input's of its map, so it is never
+    the first input attaining its map's minimum below floor.
+    """
+    d = stack.shape[-1]
+    if d == 2:
+        return linalg.batch_min_eigenvalue(stack)
+    candidate = linalg.screen_below(stack, floor)
+    pilot, vals = [], []
+    if np.count_nonzero(candidate) > 2 * _PILOT:
+        pilot = np.flatnonzero(candidate)[:_PILOT]
+        vals = linalg.batch_min_eigenvalue(stack.reshape(-1, d, d)[pilot])
+        maps = candidate[0].size
+        lowest = np.full(maps, np.inf)
+        np.minimum.at(lowest, pilot % maps, vals)
+        candidate.flat[pilot] = False
+        candidate &= linalg.screen_below(stack, np.minimum(floor, lowest.reshape(candidate.shape[1:])))
+    out = np.full(candidate.shape, np.inf)
+    out.flat[pilot] = vals
+    if candidate.any():
+        out[candidate] = linalg.batch_min_eigenvalue(stack[candidate])
+    return out
+
+
 def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray, tol: float):
     """Smallest defect eigenvalue of each templated map over all inputs.
 
     Returns (values, first input index attaining each); +inf for a map
     whose defects all screen above -tol/2.  Each block holds at most
     _CHUNK matrices, maps times inputs; its monomials come from one
-    _monomials call per chunk of at most _CHUNK inputs.  The caller passes
-    at most _TILE maps.
+    _monomials call per chunk of at most _CHUNK inputs.  No block or chunk
+    holds fewer than linalg._MIN_SLICE inputs when the draw has that many:
+    the last one starts earlier, and its inputs seen before go no further
+    than the product.  The caller passes at most _TILE maps.
+
+    Each map's defects are screened at min(-tol/2, its worst value so far),
+    a LAPACK value of an earlier input; while no map has a value below
+    -tol/2, at the scalar -tol/2.  A screened-out defect lies above its
+    floor, so it can neither be a map's minimum nor tie with it.
     """
     p = templates.shape[1] // (d * d)
     rows = _CHUNK // p
-    chunk = rows * (_CHUNK // rows)  # whole blocks: only the draw's last block runs short
+    chunk = rows * (_CHUNK // rows)  # a whole number of blocks
     cols = np.arange(p)
     skew = _template_skew(templates, d)
     best = np.full(p, np.inf)
     arg = np.zeros(p, dtype=int)
-    for lo in range(0, len(w), chunk):
-        mono = _monomials(w0[lo : lo + chunk], w[lo : lo + chunk])
-        for at in range(0, len(mono), rows):
-            block = mono[at : at + rows]
-            eigs = linalg.min_eigenvalue_below(_defects(templates, d, block, skew), -tol / 2)
+    done = 0  # inputs searched so far
+    for c in linalg.slices(len(w), chunk):
+        mono = _monomials(w0[c], w[c])
+        for b in linalg.slices(len(mono), rows):
+            block = mono[b]
+            seen = done - c.start - b.start  # a last block that starts early
+            low = best < -tol / 2
+            floor = np.where(low, best, -tol / 2) if low.any() else -tol / 2
+            eigs = _lowest_eigenvalues(_defects(templates, d, block, skew)[seen:], floor)
             k = np.argmin(eigs, axis=0)
             vals = eigs[k, cols]
             better = vals < best
             best[better] = vals[better]
-            arg[better] = lo + at + k[better]
+            arg[better] = done + k[better]
+            done += len(block) - seen
     return best, arg
 
 
@@ -316,7 +367,7 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     for lo in range(0, len(w), _CHUNK):
         hi = min(len(w), lo + _CHUNK)
         out = map_obj.evaluate_batch(ones[lo:hi], w[lo:hi])
-        eigs = linalg.min_eigenvalue_below(out, -cfg.tol / 2)
+        eigs = _lowest_eigenvalues(out, min(-cfg.tol / 2, worst_val))
         k = int(np.argmin(eigs))
         if eigs[k] < worst_val:
             worst_val = float(eigs[k])

@@ -224,6 +224,27 @@ def test_min_eigenvalue_below_is_exact_at_and_below_floor(rng, d, floor):
     assert np.array_equal(again.reshape(-1), got[:-1])
 
 
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_min_eigenvalue_below_takes_one_floor_per_matrix(rng, d):
+    n = 300
+    lows = rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-9, 0, size=n)
+    stack = _planted_stack(rng, d, lows)
+    # exact rank deficiency, with floors at and about its zero eigenvalue
+    z = rng.normal(size=(n, d, d - 1)) + 1j * rng.normal(size=(n, d, d - 1))
+    stack = np.concatenate([stack, z @ np.conj(np.swapaxes(z, -1, -2))])
+    floors = np.concatenate([lows * np.where(np.arange(n) % 2, 1 + 1e-6, 1 - 1e-6),
+                             rng.choice([0.0, -5e-9, 1e-12], size=n)])
+    got = linalg.min_eigenvalue_below(stack, floors)
+    one_by_one = [linalg.min_eigenvalue_below(a[None], f)[0] for a, f in zip(stack, floors)]
+    assert np.array_equal(got, one_by_one)
+    assert np.isfinite(got).any() and np.isinf(got).any()
+    # a floor per map of a (inputs, maps) stack broadcasts over the inputs
+    per_map = stack.reshape(-1, 4, d, d)
+    got = linalg.min_eigenvalue_below(per_map, floors[:4])
+    one_by_one = [linalg.min_eigenvalue_below(per_map[:, j], f) for j, f in enumerate(floors[:4])]
+    assert np.array_equal(got, np.stack(one_by_one, axis=1))
+
+
 def test_min_eigenvalue_below_certifies_positive_definite(rng):
     z = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
     stack = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(4)

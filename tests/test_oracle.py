@@ -506,6 +506,47 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
         assert _same_witness(pos, ref_pos)
 
 
+def _tlm_oracle_maps():
+    """Scalar pairs that classify_full hands to the KS oracle, all failing KS."""
+    pairs = [(-0.75242916117889425, 0.12479031303383681), (-0.52807592134690418, 0.32134619804226694),
+             (0.28913307428561641, -0.68495527557030877)]
+    return [TensorMap.scalar(ScalarPairParams(lam, mu)) for lam, mu in pairs]
+
+
+def _reference_searches(maps, cfg, monkeypatch):
+    """Per-map KS searches with every defect's eigenvalue from LAPACK."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
+        return [ks_violation_search(m, cfg) for m in maps]
+
+
+@pytest.mark.parametrize("case", ["wide-3-chunks", "tlm-oracle", "mixed-tile"])
+def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
+    cfg = SampleConfig(n_samples=20000, seed=7)
+    wide = TensorMap.scalar(ScalarPairParams(0.6, 0.55))
+    clean = [TensorMap.scalar(ScalarPairParams(0.3, 0.2)),
+             TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15))]
+    if case == "wide-3-chunks":
+        # every defect lies in [-0.3225426, -0.3225]: ties test the first-index rule
+        maps = [wide]
+        assert len(classify.ks_probe_vectors()) + cfg.n_samples > 2 * oracle._CHUNK
+    elif case == "tlm-oracle":
+        maps = _tlm_oracle_maps()
+    else:
+        # per-map floors differ within one block: -tol/2 for the clean maps
+        maps = [clean[0], wide, *_tlm_oracle_maps(), clean[1], convex_combination(wide, clean[0], 0.5)]
+        cfg = SampleConfig(n_samples=6000, seed=11)
+    reference = _reference_searches(maps, cfg, monkeypatch)
+    found = ks_violation_search_many(maps, cfg) if len(maps) > 1 else [ks_violation_search(maps[0], cfg)]
+    assert any(ref is not None for ref in reference)
+    for wit, ref in zip(found, reference, strict=True):
+        assert _same_witness(wit, ref)
+    if case == "mixed-tile":
+        assert reference[0] is None and reference[1] is not None
+        for m, wit in zip(maps, found):
+            assert _same_witness(wit, ks_violation_search(m, cfg))
+
+
 def test_lapack_sees_only_unscreened_defects(monkeypatch):
     sizes = []
     original = linalg.batch_min_eigenvalue
@@ -518,9 +559,38 @@ def test_lapack_sees_only_unscreened_defects(monkeypatch):
     cfg = SampleConfig(n_samples=10000, seed=7)
     assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.3, 0.2)), cfg) is None
     assert sizes == []
+    # the first block's pilot reaches the minimum; the rest are screened at it
     assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.6, 0.55)), cfg) is not None
-    assert sum(sizes) == len(classify.ks_probe_vectors()) + cfg.n_samples
+    assert sizes == [oracle._PILOT, 7]
     assert max(sizes) <= oracle._CHUNK
+    # failing maps that classify_full hands to the oracle
+    sizes.clear()
+    for m in _tlm_oracle_maps():
+        assert ks_violation_search(m, SampleConfig(n_samples=20000, seed=7)) is not None
+    assert sizes == [oracle._PILOT, 6, oracle._PILOT, 5, oracle._PILOT, 6]
+    sizes.clear()
+    stretched = TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0]))
+    assert positivity_violation_search(stretched, SampleConfig(n_samples=200000, seed=7)) is not None
+    assert sizes == [oracle._PILOT]
+
+
+def test_last_block_of_a_draw_holds_eight_inputs():
+    # 8193 inputs: one map takes them in blocks of 8192, three maps in 2730;
+    # either way the last input, planted as the worst of map 0, comes in a
+    # product of 8 rows and gets the same bits
+    rng = np.random.default_rng(0)
+    draw = sample_unit_sphere(8193, 5)
+    w0 = np.zeros(len(draw), dtype=complex)
+    for _ in range(5):
+        maps = [QubitChannel.diagonal(DiagonalParams(*v)) for v in rng.uniform(-1, 1, size=(3, 3))]
+        worst = np.argmin(linalg.batch_min_eigenvalue(ks_defects(maps[:1], 0.0, draw))[:, 0])
+        w = np.concatenate([np.delete(draw, worst, axis=0), draw[[worst]]])
+        templates = [oracle._ks_template(m) for m in maps]
+        vals, args = oracle._worst_defects(np.concatenate(templates, axis=1), 2, w0, w, 1e-8)
+        assert args[0] == len(w) - 1
+        for j, t in enumerate(templates):
+            alone = oracle._worst_defects(t, 2, w0, w, 1e-8)
+            assert alone[0][0].tobytes() == vals[j].tobytes() and alone[1][0] == args[j]
 
 
 def test_template_skew_bounds_block_hermiticity(rng):
