@@ -9,7 +9,8 @@ Verdict statuses record logical strength, not just truth:
 * ``FAILS``            a certificate of failure exists (violated exact
   inequality, or an explicit witness);
 * ``INCONCLUSIVE``     a sufficient hypothesis was violated, which proves
-  nothing; callers fall back to the sampling oracle.
+  nothing; classify_full then tries the KS operator for a tensor map, and
+  falls back to the sampling oracle.
 
 Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``): a
 qubit channel by ||T||_op <= 1, a tensor map by the minimax of
@@ -30,6 +31,18 @@ For fixed moduli n_k = |w_k|^2 the supremum over phases has a closed
 form, and ``diag_ks_defect_supremum`` maximises the result over the
 moduli exactly: it is the largest of four quadratic forms, each
 maximised over a triangle by enumerating its KKT points.
+
+Tensor maps have no exact KS test.  One certified sufficient test is the
+KS operator of ``ks_operator``: the defect at x = w.s is a quadratic form
+in w with operator-valued entries, and where the 12x12 operator H that
+carries it is positive semidefinite, so is every defect (the converse
+fails: KS only needs H >= 0 on product vectors).  One ``eigvalsh``
+decides H >= 0, with margin lambda_min(H).  ``tmat`` tries it before the
+sampled inequalities of ``ks_tensor_sufficient``; ``classify_full`` tries
+it on any tensor map whose decider said INCONCLUSIVE, before the oracle.
+The ``tdiag`` and ``tlm`` deciders leave it out, so the agreement harness,
+which calls them directly, still sends exactly the points where the
+paper's inequalities fail to the oracle.
 """
 
 from __future__ import annotations
@@ -520,6 +533,51 @@ def ks_tensor_sufficient(
     )
 
 
+# Levi-Civita symbol: s_k s_l = delta_kl 1 + i eps_klm s_m
+_EPS = np.zeros((3, 3, 3))
+_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+
+
+def ks_operator(map_obj) -> np.ndarray:
+    """The KS operator H = sum_kl |k><l| (x) H_kl of a map, a (3d, 3d) matrix.
+
+    With x = w.s, B_k = map(s_k) and G_kl = B_k* B_l, the KS defect is
+
+        D(w) = sum_kl conj(w_k) w_l H_kl,   H_kl = delta_kl B_0 + i eps_klm B_m - G_kl,
+
+    so <xi, D(w) xi> = <w (x) xi, H w (x) xi>.  For a unital map, which
+    has D(x + t 1) = D(x), H >= 0 therefore proves KS (M.-D. Choi, Illinois
+    J. Math. 18 (1974) 565-574), and lambda_min(D(w)) >= lambda_min(H) for
+    unit w.  B_k and G_kl are read off the rows of oracle._ks_template.
+    """
+    from .oracle import _PAIRS, _ks_template
+
+    d = map_obj.out_dim
+    rows = _ks_template(map_obj).reshape(-1, d, d)
+    basis, sym, skew = rows[:4], rows[8:14], rows[14:]
+    # rows 8.. hold G_kl + G_lk, then i(G_kl - G_lk), for the pairs k < l
+    gram = np.zeros((4, 4, d, d), dtype=complex)
+    gram[range(4), range(4)] = rows[4:8]
+    k, l = _PAIRS
+    gram[k, l] = 0.5 * (sym - 1j * skew)
+    gram[l, k] = 0.5 * (sym + 1j * skew)
+    blocks = np.eye(3)[:, :, None, None] * basis[0] + 1j * np.einsum("klm,mij->klij", _EPS, basis[1:])
+    blocks -= gram[1:, 1:]
+    return blocks.swapaxes(1, 2).reshape(3 * d, 3 * d)
+
+
+def ks_operator_sufficient(m, tols: Tolerances = DEFAULT) -> TriState | None:
+    """HOLDS_SUFFICIENT when lambda_min(ks_operator(m)) >= -tols.tensor_ks_slack,
+    None otherwise, so that the caller's next test runs."""
+    low = float(linalg.batch_min_eigenvalue(ks_operator(m)))
+    if low < -tols.tensor_ks_slack:
+        return None
+    return TriState(
+        Status.HOLDS_SUFFICIENT, f"KS operator lambda_min = {low:.6g} >= -{tols.tensor_ks_slack:.1g}"
+    )
+
+
 def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) -> TriState:
     """Closed-form sufficient KS test for the diagonal tensor family."""
     # the channel inequalities at 2*lam; doubling is exact
@@ -744,8 +802,8 @@ class Deciders:
 
     Each is called as decider(params, map, tols, cfg) and returns a
     TriState; cfg is the oracle's SampleConfig.  A KS verdict of
-    INCONCLUSIVE sends classify_full and the agreement harness to the
-    sampling oracle.
+    INCONCLUSIVE sends the agreement harness to the sampling oracle, and
+    classify_full to the KS operator of a tensor map, then the oracle.
     """
 
     positive: Callable
@@ -777,7 +835,8 @@ DECIDERS = {
     ),
     "tmat": Deciders(
         positive=_positive_tensor_map,
-        ks=lambda p, m, tols, cfg: ks_tensor_sufficient(m, cfg.n_samples, cfg.seed, tols),
+        ks=lambda p, m, tols, cfg: ks_operator_sufficient(m, tols)
+        or ks_tensor_sufficient(m, cfg.n_samples, cfg.seed, tols),
         cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols),
     ),
 }
@@ -790,8 +849,8 @@ def classify_full(
 
     Accepts the flat text form (``phi:...``) or a pre-parsed
     (kind, params) pair.  Each level uses the strongest test available
-    for the family (see DECIDERS), with the sampling oracle as fallback
-    where only sufficient conditions exist.
+    for the family (see DECIDERS).  Where a KS decider is INCONCLUSIVE,
+    the KS operator of a tensor map, then the sampling oracle decide.
     """
     from . import oracle
 
@@ -801,6 +860,8 @@ def classify_full(
     cfg = oracle.SampleConfig(n_samples=n_samples, seed=seed, tol=tols.ks_violation)
     pos = deciders.positive(params, m, tols, cfg)
     ks = deciders.ks(params, m, tols, cfg)
+    if ks.status is Status.INCONCLUSIVE and isinstance(m, TensorMap):
+        ks = ks_operator_sufficient(m, tols) or ks
     if ks.status is Status.INCONCLUSIVE:
         wit = oracle.ks_violation_search(m, cfg)
         if wit is None:
@@ -821,5 +882,5 @@ def _check_hierarchy(v: Verdict) -> None:
     """CP implies KS implies positive; a contradiction is an internal error."""
     if v.completely_positive.status is Status.HOLDS_EXACT and v.kadison_schwarz.status is Status.FAILS:
         raise RuntimeError(f"hierarchy violation: CP holds but KS fails ({v})")
-    if v.kadison_schwarz.status is Status.HOLDS_EXACT and v.positive.status is Status.FAILS:
+    if v.kadison_schwarz.holds and v.positive.status is Status.FAILS:
         raise RuntimeError(f"hierarchy violation: KS holds but positivity fails ({v})")

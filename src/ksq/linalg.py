@@ -4,9 +4,8 @@ Adjoints, Kronecker products, thin matrix products and Hermitian
 eigenvalues.  ``batch_min_eigenvalue`` (closed form for 2x2, LAPACK
 otherwise) is the production eigen path.  The sampling oracle calls it
 behind ``screen_below``, a batched LDL^H screen in real arithmetic on the
-entries the elimination reads, with one floor per matrix;
-``min_eigenvalue_below`` sends only the matrices that may lie below their
-floor to LAPACK.
+entries the elimination reads, with one floor per matrix, and sends only
+the matrices that may lie below their floor to LAPACK.
 ``hermitian_eigenvalues`` is an in-house cyclic Jacobi iteration on the
 real-symmetric embedding [[X, -Y], [Y, X]] of H = X + iY; it accepts
 stacks of matrices and is only the reference solver that the spectrum
@@ -275,20 +274,3 @@ def screen_below(stack: np.ndarray, floor) -> np.ndarray:
                 im[k + 1 + m] -= qi[m + 1 :] * cr[m] - qr[m + 1 :] * ci[m]
     return candidate.reshape(stack.shape[:-2])
 
-
-def min_eigenvalue_below(stack: np.ndarray, floor) -> np.ndarray:
-    """batch_min_eigenvalue where it may be <= floor, +inf elsewhere.
-
-    floor is a scalar or broadcasts to stack.shape[:-2], one floor per
-    matrix.  A matrix larger than 2x2 that screen_below certifies has its
-    LAPACK value above its floor and is reported as +inf; every other
-    matrix gets batch_min_eigenvalue of itself, as it is in stack.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    candidate = screen_below(stack, floor)
-    if candidate.all():
-        return batch_min_eigenvalue(stack)
-    out = np.full(candidate.shape, np.inf)
-    if candidate.any():
-        out[candidate] = batch_min_eigenvalue(stack[candidate])
-    return out

@@ -22,7 +22,9 @@ class Tolerances:
     ks_violation: defect eigenvalue below -ks_violation counts as a witness
     tensor_ks_slack: amount by which a probed input may miss the gain or
                   the bracket inequality of the sampled tensor KS
-                  sufficient test before the test reports INCONCLUSIVE
+                  sufficient test before the test reports INCONCLUSIVE,
+                  and by which lambda_min of the KS operator may fall
+                  below 0 while the operator still proves KS
     """
 
     hermiticity: float = 1e-10

@@ -27,6 +27,7 @@ from ksq.classify import (
     diag_ks_defect_supremum,
     diag_ks_residuals,
     ks_defect_min_eig,
+    ks_operator,
     ks_phi_diag_exact,
     ks_phi_scalar_interval,
     ks_tensor_diag_sufficient,
@@ -630,6 +631,76 @@ def test_scalar_ks_implies_tensor_ks(rng):
             assert tri.status is Status.HOLDS_SUFFICIENT, (lam, mu)
 
 
+# --- KS operator ------------------------------------------------------------
+
+
+def _ks_operator_min(m) -> float:
+    return float(np.linalg.eigvalsh(ks_operator(m))[0])
+
+
+def test_ks_operator_quadratic_form_is_the_defect(rng):
+    # D(w) = sum_kl conj(w_k) w_l H_kl, read off the (k, l) blocks of H
+    w = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    maps = [TensorMap(*rng.uniform(-0.5, 0.5, size=(2, 3, 3))) for _ in range(10)]
+    maps += [QubitChannel(rng.uniform(-1, 1, size=(3, 3))) for _ in range(10)]
+    for m in maps:
+        d = m.out_dim
+        H = ks_operator(m)
+        assert H.shape == (3 * d, 3 * d)
+        assert linalg.hermitian_deviation(H) < 1e-15
+        form = np.einsum("nk,kilj,nl->nij", np.conj(w), H.reshape(3, d, 3, d), w)
+        assert np.max(np.abs(form - oracle.ks_defects([m], 0.0, w)[:, 0])) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def tdiag_grid():
+    """(points, lambda_min of the KS operator) on the 15^3 grid of the tdiag box."""
+    axis = np.linspace(-0.5, 0.5, 15)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    lows = np.array([_ks_operator_min(TensorMap.diagonal(DiagonalTensorParams(*p))) for p in pts])
+    return pts, lows
+
+
+def test_paper_tdiag_test_implies_ks_operator_positive(tdiag_grid):
+    pts, lows = tdiag_grid
+    paper = np.array([ks_tensor_diag_sufficient(DiagonalTensorParams(*p)).holds for p in pts])
+    positive = lows >= -DEFAULT.tensor_ks_slack
+    assert (paper.sum(), positive.sum()) == (1195, 1679)
+    assert np.all(positive[paper])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+def test_paper_tdiag_test_implies_ks_operator_positive_anywhere(lams):
+    p = DiagonalTensorParams(*lams)
+    assume(ks_tensor_diag_sufficient(p).holds)
+    assert classify.ks_operator_sufficient(TensorMap.diagonal(p)) is not None
+
+
+def test_ks_operator_positive_leaves_the_oracle_clean_on_tdiag_grid(tdiag_grid):
+    pts, lows = tdiag_grid
+    maps = [TensorMap.diagonal(DiagonalTensorParams(*p)) for p in pts[lows >= -DEFAULT.tensor_ks_slack]]
+    found = oracle.ks_violation_search_many(maps, oracle.SampleConfig(n_samples=5000, seed=11))
+    assert not any(found)
+
+
+def test_ks_operator_positive_leaves_the_oracle_clean_on_random_tmat(rng):
+    maps = [TensorMap(*rng.uniform(-0.3, 0.3, size=(2, 3, 3))) for _ in range(200)]
+    positive = [classify.ks_operator_sufficient(m) is not None for m in maps]
+    found = oracle.ks_violation_search_many(maps, oracle.SampleConfig(n_samples=5000, seed=11))
+    assert 0 < sum(positive) < len(maps) and any(found)
+    assert not any(w for w, ok in zip(found, positive) if ok)
+
+
+def test_ks_operator_honours_tensor_ks_slack():
+    # lambda_min = -6e-10: outside the default slack, inside a loose one
+    m = TensorMap.scalar(ScalarPairParams(0.5 + 1e-10, 0.5 + 1e-10))
+    assert _ks_operator_min(m) == pytest.approx(-6e-10, rel=1e-3)
+    assert classify.ks_operator_sufficient(m) is None
+    tri = classify.ks_operator_sufficient(m, Tolerances(tensor_ks_slack=1e-8))
+    assert tri.status is Status.HOLDS_SUFFICIENT and tri.note.startswith("KS operator lambda_min")
+
+
 def test_ks_phi_scalar_interval_endpoints():
     assert ks_phi_scalar_interval(0.5).status is Status.HOLDS_EXACT
     assert ks_phi_scalar_interval(-0.25).status is Status.HOLDS_EXACT
@@ -875,3 +946,32 @@ def test_classify_full_hierarchy_random(rng):
             assert v.kadison_schwarz.status is not Status.FAILS
         if v.kadison_schwarz.status is Status.HOLDS_EXACT:
             assert v.positive.status is not Status.FAILS
+
+
+def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled where the KS operator decides")
+
+    monkeypatch.setattr(classify, "ks_tensor_sufficient", refuse)
+    monkeypatch.setattr(oracle, "ks_violation_search", refuse)
+    # tmat: the decider's own KS operator test decides
+    v = classify_full("tmat:" + ",".join(["0.05"] * 18))
+    assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
+    assert v.kadison_schwarz.note.startswith("KS operator lambda_min")
+    # tlm outside the sufficient inequality and the component rule
+    v = classify_full("tlm:0.6,0.2")
+    assert v.kadison_schwarz.note == "KS operator lambda_min = 0.2 >= -1e-10"
+    # the KS operator stays out of the tlm decider, which the harness calls
+    tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), None, DEFAULT, None)
+    assert tri.status is Status.INCONCLUSIVE
+    # where it is not positive, the oracle still decides
+    with pytest.raises(AssertionError, match="sampled"):
+        classify_full("tlm:0.3,-0.5")
+
+
+def test_check_hierarchy_rejects_sufficient_ks_without_positivity():
+    fails = classify.TriState(Status.FAILS, "positivity fails")
+    holds = classify.TriState(Status.HOLDS_SUFFICIENT, "KS operator lambda_min = 0.1 >= -1e-10")
+    with pytest.raises(RuntimeError, match="KS holds but positivity fails"):
+        classify._check_hierarchy(classify.Verdict(fails, holds, fails))
+    classify._check_hierarchy(classify.Verdict(holds, holds, fails))

@@ -167,8 +167,17 @@ def test_thin_matmul_entries_do_not_depend_on_the_slicing(rng):
     assert np.array_equal(linalg.thin_matmul(tall, narrow)[-8:], linalg.thin_matmul(tall[-8:], narrow))
 
 
+def _min_eigenvalue_below(stack, floor):
+    """batch_min_eigenvalue where screen_below keeps a matrix as a candidate, +inf elsewhere."""
+    candidate = linalg.screen_below(stack, floor)
+    out = np.full(candidate.shape, np.inf)
+    if candidate.any():
+        out[candidate] = linalg.batch_min_eigenvalue(np.asarray(stack, dtype=complex)[candidate])
+    return out
+
+
 def _complex_min_eigenvalue_below(stack, floor):
-    """min_eigenvalue_below as it was with a complex (d, d, N) elimination copy."""
+    """_min_eigenvalue_below as it was with a complex (d, d, N) elimination copy."""
     stack = np.asarray(stack, dtype=complex)
     d = stack.shape[-1]
     flat = stack.reshape(-1, d, d)
@@ -211,7 +220,7 @@ def test_min_eigenvalue_below_is_exact_at_and_below_floor(rng, d, floor):
     z = rng.normal(size=(n, d, d - 1)) + 1j * rng.normal(size=(n, d, d - 1))
     stack = np.concatenate([stack, z @ np.conj(np.swapaxes(z, -1, -2)), [random_hermitian(rng, d)]])
     exact = linalg.batch_min_eigenvalue(stack)
-    got = linalg.min_eigenvalue_below(stack, floor)
+    got = _min_eigenvalue_below(stack, floor)
     low = exact <= floor
     assert low.any() and (~low).any()
     assert np.array_equal(got[low], exact[low])
@@ -220,7 +229,7 @@ def test_min_eigenvalue_below_is_exact_at_and_below_floor(rng, d, floor):
     assert np.all(got[~finite] == np.inf)
     assert np.array_equal(got, _complex_min_eigenvalue_below(stack, floor))
     # stacked shapes come back in the same shape
-    again = linalg.min_eigenvalue_below(stack[:-1].reshape(-1, 4, d, d), floor)
+    again = _min_eigenvalue_below(stack[:-1].reshape(-1, 4, d, d), floor)
     assert np.array_equal(again.reshape(-1), got[:-1])
 
 
@@ -234,22 +243,22 @@ def test_min_eigenvalue_below_takes_one_floor_per_matrix(rng, d):
     stack = np.concatenate([stack, z @ np.conj(np.swapaxes(z, -1, -2))])
     floors = np.concatenate([lows * np.where(np.arange(n) % 2, 1 + 1e-6, 1 - 1e-6),
                              rng.choice([0.0, -5e-9, 1e-12], size=n)])
-    got = linalg.min_eigenvalue_below(stack, floors)
-    one_by_one = [linalg.min_eigenvalue_below(a[None], f)[0] for a, f in zip(stack, floors)]
+    got = _min_eigenvalue_below(stack, floors)
+    one_by_one = [_min_eigenvalue_below(a[None], f)[0] for a, f in zip(stack, floors)]
     assert np.array_equal(got, one_by_one)
     assert np.isfinite(got).any() and np.isinf(got).any()
     # a floor per map of a (inputs, maps) stack broadcasts over the inputs
     per_map = stack.reshape(-1, 4, d, d)
-    got = linalg.min_eigenvalue_below(per_map, floors[:4])
-    one_by_one = [linalg.min_eigenvalue_below(per_map[:, j], f) for j, f in enumerate(floors[:4])]
+    got = _min_eigenvalue_below(per_map, floors[:4])
+    one_by_one = [_min_eigenvalue_below(per_map[:, j], f) for j, f in enumerate(floors[:4])]
     assert np.array_equal(got, np.stack(one_by_one, axis=1))
 
 
 def test_min_eigenvalue_below_certifies_positive_definite(rng):
     z = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
     stack = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(4)
-    assert np.all(linalg.min_eigenvalue_below(stack, -5e-9) == np.inf)
-    assert np.all(np.isfinite(linalg.min_eigenvalue_below(-stack, -5e-9)))
+    assert np.all(_min_eigenvalue_below(stack, -5e-9) == np.inf)
+    assert np.all(np.isfinite(_min_eigenvalue_below(-stack, -5e-9)))
 
 
 @pytest.mark.parametrize("d", [3, 4, 8])
@@ -258,7 +267,7 @@ def test_min_eigenvalue_below_matches_the_complex_screen(rng, monkeypatch, d):
     definite = z @ np.conj(np.swapaxes(z, -1, -2)) + 1e-3 * np.eye(d)
     # no candidate, then every matrix a candidate
     for stack in (definite, -definite):
-        got = linalg.min_eigenvalue_below(stack, -5e-9)
+        got = _min_eigenvalue_below(stack, -5e-9)
         assert np.array_equal(got, _complex_min_eigenvalue_below(stack, -5e-9))
     assert np.all(np.isfinite(got))
     # NaN pivots, first and last, in a certified block; LAPACK may reject a
@@ -266,7 +275,7 @@ def test_min_eigenvalue_below_matches_the_complex_screen(rng, monkeypatch, d):
     nan_pivot = definite.copy()
     nan_pivot[[7, 100], [0, d - 1], [0, d - 1]] = np.nan
     monkeypatch.setattr(linalg, "batch_min_eigenvalue", lambda s: np.arange(len(s), dtype=float))
-    got = linalg.min_eigenvalue_below(nan_pivot, -5e-9)
+    got = _min_eigenvalue_below(nan_pivot, -5e-9)
     assert np.array_equal(got, _complex_min_eigenvalue_below(nan_pivot, -5e-9))
     assert np.array_equal(np.flatnonzero(np.isfinite(got)), [7, 100])
 
@@ -274,4 +283,4 @@ def test_min_eigenvalue_below_matches_the_complex_screen(rng, monkeypatch, d):
 def test_min_eigenvalue_below_2x2_is_the_closed_form(rng):
     stack = np.array([random_hermitian(rng, 2) for _ in range(50)]).reshape(5, 10, 2, 2)
     closed_form = linalg.batch_min_eigenvalue(stack)
-    assert np.array_equal(linalg.min_eigenvalue_below(stack, -5e-9), closed_form)
+    assert np.array_equal(_min_eigenvalue_below(stack, -5e-9), closed_form)

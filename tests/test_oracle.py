@@ -178,6 +178,19 @@ def test_harness_counts(family, grid, counts):
     assert (report.agree, report.resolved_by_oracle, report.discrepancies) == counts
 
 
+def test_harness_reports_stay_on_the_deciders():
+    # the harness calls DECIDERS directly: the KS operator that classify_full
+    # tries before the oracle must not resolve any of these points
+    expected = {
+        ("phi", 3): (54, 0, 0), ("tdiag", 3): (38, 16, 0), ("tlm", 5): (29, 21, 0),
+        ("tdiag", 5): (170, 80, 0),
+    }
+    for (family, grid), counts in expected.items():
+        report = agreement_harness(family, grid)
+        assert (report.agree, report.resolved_by_oracle, report.discrepancies) == counts
+        assert report.details == []
+
+
 def test_harness_unknown_family():
     with pytest.raises(ValueError, match="family"):
         agreement_harness("nope", 5)
