@@ -37,12 +37,12 @@ KS operator of ``ks_operator``: the defect at x = w.s is a quadratic form
 in w with operator-valued entries, and where the 12x12 operator H that
 carries it is positive semidefinite, so is every defect (the converse
 fails: KS only needs H >= 0 on product vectors).  One ``eigvalsh``
-decides H >= 0, with margin lambda_min(H).  ``tmat`` tries it before the
-sampled inequalities of ``ks_tensor_sufficient``; ``classify_full`` tries
-it on any tensor map whose decider said INCONCLUSIVE, before the oracle.
-The ``tdiag`` and ``tlm`` deciders leave it out, so the agreement harness,
-which calls them directly, still sends exactly the points where the
-paper's inequalities fail to the oracle.
+decides H >= 0, with margin lambda_min(H).  ``classify_full`` is the one
+place it runs: on any tensor map whose decider said INCONCLUSIVE, before
+the oracle.  The ``tmat`` decider has no test of its own and always says
+INCONCLUSIVE.  The ``tdiag`` and ``tlm`` deciders leave H out, so the
+agreement harness, which calls them directly, still sends exactly the
+points where the paper's inequalities fail to the oracle.
 """
 
 from __future__ import annotations
@@ -503,10 +503,10 @@ def ks_tensor_sufficient(
 ) -> TriState:
     """Sufficient KS test for tensor maps over probes plus random inputs.
 
-    A violated hypothesis proves nothing about the map, so it yields
-    INCONCLUSIVE; callers fall back to the sampling oracle.  Either
-    condition counts as violated when it misses by more than
-    tols.tensor_ks_slack.
+    No decider calls it: classify_full decides tensor maps by the KS
+    operator, then the oracle.  A violated hypothesis proves nothing about
+    the map, so it yields INCONCLUSIVE.  Either condition counts as
+    violated when it misses by more than tols.tensor_ks_slack.
     """
     from .oracle import sample_unit_sphere
 
@@ -815,6 +815,10 @@ def _positive_tensor_map(p, m, tols, cfg) -> TriState:
     return positive_tensor(m, tols=tols)
 
 
+def _ks_tensor_map(p, m, tols, cfg) -> TriState:
+    return TriState(Status.INCONCLUSIVE, "no closed-form KS test for a general tensor map")
+
+
 # keyed like channels.FAMILIES; the entries look the deciders up when
 # called, so replacing a module attribute (tracing, tests) reaches them
 DECIDERS = {
@@ -835,8 +839,7 @@ DECIDERS = {
     ),
     "tmat": Deciders(
         positive=_positive_tensor_map,
-        ks=lambda p, m, tols, cfg: ks_operator_sufficient(m, tols)
-        or ks_tensor_sufficient(m, cfg.n_samples, cfg.seed, tols),
+        ks=_ks_tensor_map,
         cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols),
     ),
 }
@@ -874,13 +877,25 @@ def classify_full(
             )
     cp = deciders.cp(params, m, tols, cfg)
     verdict = Verdict(positive=pos, kadison_schwarz=ks, completely_positive=cp)
-    _check_hierarchy(verdict)
+    _check_hierarchy(verdict, tols)
     return verdict
 
 
-def _check_hierarchy(v: Verdict) -> None:
-    """CP implies KS implies positive; a contradiction is an internal error."""
-    if v.completely_positive.status is Status.HOLDS_EXACT and v.kadison_schwarz.status is Status.FAILS:
+def _check_hierarchy(v: Verdict, tols: Tolerances = DEFAULT) -> None:
+    """CP implies KS implies positive; a contradiction is an internal error.
+
+    A sufficient KS test holds within its tolerances, so it may meet a
+    positivity failure by at most tols.ks_violation: a positivity witness
+    1 + w.s whose image has smallest eigenvalue -delta is a KS witness too,
+    the defect at w.s having eigenvalue -(2 delta + delta^2).  A failure
+    without a witness value counts as deeper than any tolerance.
+    """
+    ks = v.kadison_schwarz.status
+    if v.completely_positive.status is Status.HOLDS_EXACT and ks is Status.FAILS:
         raise RuntimeError(f"hierarchy violation: CP holds but KS fails ({v})")
-    if v.kadison_schwarz.holds and v.positive.status is Status.FAILS:
+    if not v.kadison_schwarz.holds or v.positive.status is not Status.FAILS:
+        return
+    wit = v.positive.witness
+    delta = wit[1] - 1.0 if isinstance(wit, tuple) else np.inf
+    if ks is Status.HOLDS_EXACT or delta > tols.ks_violation:
         raise RuntimeError(f"hierarchy violation: KS holds but positivity fails ({v})")

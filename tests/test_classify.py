@@ -949,12 +949,17 @@ def test_classify_full_hierarchy_random(rng):
 
 
 def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sampled where the KS operator decides")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called where the KS operator decides")
 
-    monkeypatch.setattr(classify, "ks_tensor_sufficient", refuse)
-    monkeypatch.setattr(oracle, "ks_violation_search", refuse)
-    # tmat: the decider's own KS operator test decides
+        return call
+
+    monkeypatch.setattr(classify, "ks_tensor_sufficient", refuse("sampled test"))
+    monkeypatch.setattr(oracle, "ks_violation_search", refuse("oracle"))
+    # tmat: the decider has no test of its own, classify_full's KS operator decides
+    tri = classify.DECIDERS["tmat"].ks(None, None, DEFAULT, None)
+    assert tri.status is Status.INCONCLUSIVE
     v = classify_full("tmat:" + ",".join(["0.05"] * 18))
     assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
     assert v.kadison_schwarz.note.startswith("KS operator lambda_min")
@@ -964,14 +969,44 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
     # the KS operator stays out of the tlm decider, which the harness calls
     tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), None, DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
-    # where it is not positive, the oracle still decides
-    with pytest.raises(AssertionError, match="sampled"):
+    # where it is not positive, the oracle decides, with no sampled test before it
+    with pytest.raises(AssertionError, match="oracle called"):
         classify_full("tlm:0.3,-0.5")
+    with pytest.raises(AssertionError, match="oracle called"):
+        classify_full("tmat:0.3,0,0,0,0.3,0,0,0,0.3,-0.5,0,0,0,-0.5,0,0,0,-0.5")
 
 
 def test_check_hierarchy_rejects_sufficient_ks_without_positivity():
-    fails = classify.TriState(Status.FAILS, "positivity fails")
+    def fails_by(delta):
+        # a tensor positivity witness (1 + w.s, ||Aw|| + ||Cw||)
+        return classify.TriState(Status.FAILS, "positivity fails", witness=(None, 1.0 + delta))
+
     holds = classify.TriState(Status.HOLDS_SUFFICIENT, "KS operator lambda_min = 0.1 >= -1e-10")
-    with pytest.raises(RuntimeError, match="KS holds but positivity fails"):
-        classify._check_hierarchy(classify.Verdict(fails, holds, fails))
-    classify._check_hierarchy(classify.Verdict(holds, holds, fails))
+    exact = classify.TriState(Status.HOLDS_EXACT, "KS holds")
+    for pos, ks in [
+        (fails_by(2e-8), holds),
+        (classify.TriState(Status.FAILS, "positivity fails"), holds),
+        (fails_by(1e-12), exact),
+    ]:
+        with pytest.raises(RuntimeError, match="KS holds but positivity fails"):
+            classify._check_hierarchy(classify.Verdict(pos, ks, pos))
+    # within the KS tolerances: a positivity failure by delta is a defect of
+    # about -2 delta, which no KS test below ks_violation can see
+    classify._check_hierarchy(classify.Verdict(fails_by(5e-9), holds, fails_by(5e-9)))
+    with pytest.raises(RuntimeError):
+        classify._check_hierarchy(
+            classify.Verdict(fails_by(5e-9), holds, fails_by(5e-9)), Tolerances(ks_violation=1e-9)
+        )
+    classify._check_hierarchy(classify.Verdict(holds, holds, fails_by(1.0)))
+
+
+def test_classify_full_at_the_positivity_boundary():
+    # 2||A|| = 1 + 1.6e-9 fails positivity (tol 1e-9), while the component
+    # rule admits lam <= 1/2 + 1e-9: a verdict, not an internal error
+    v = classify_full("tlm:0.5000000008,0.5000000008")
+    assert v.positive.status is Status.FAILS
+    assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
+    assert v.kadison_schwarz.note.startswith("both scalar components are KS")
+    # deeper than ks_violation, the oracle's axis probes see the defect
+    v = classify_full("tlm:0.500000006,0.500000006", n_samples=500)
+    assert (v.positive.status, v.kadison_schwarz.status) == (Status.FAILS, Status.FAILS)

@@ -170,25 +170,20 @@ def test_harness_tlm_small():
 
 @pytest.mark.parametrize(
     "family,grid,counts",
-    [("phi", 3, (54, 0, 0)), ("tdiag", 3, (38, 16, 0)), ("tlm", 5, (29, 21, 0))],
+    [
+        ("phi", 3, (54, 0, 0)),
+        ("tdiag", 3, (38, 16, 0)),
+        ("tlm", 5, (29, 21, 0)),
+        ("tdiag", 5, (170, 80, 0)),
+    ],
 )
 def test_harness_counts(family, grid, counts):
-    # (agree, resolved_by_oracle, discrepancies) at 10^4 samples, seed 7
+    # (agree, resolved_by_oracle, discrepancies) at 10^4 samples, seed 7;
+    # the harness calls DECIDERS directly, so the KS operator that
+    # classify_full tries before the oracle resolves none of these points
     report = agreement_harness(family, grid, SampleConfig(n_samples=10000, seed=7))
     assert (report.agree, report.resolved_by_oracle, report.discrepancies) == counts
-
-
-def test_harness_reports_stay_on_the_deciders():
-    # the harness calls DECIDERS directly: the KS operator that classify_full
-    # tries before the oracle must not resolve any of these points
-    expected = {
-        ("phi", 3): (54, 0, 0), ("tdiag", 3): (38, 16, 0), ("tlm", 5): (29, 21, 0),
-        ("tdiag", 5): (170, 80, 0),
-    }
-    for (family, grid), counts in expected.items():
-        report = agreement_harness(family, grid)
-        assert (report.agree, report.resolved_by_oracle, report.discrepancies) == counts
-        assert report.details == []
+    assert report.details == []
 
 
 def test_harness_unknown_family():
