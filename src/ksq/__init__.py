@@ -18,13 +18,12 @@ from .channels import (
 )
 from .classify import Status, TriState, Verdict, classify_full
 from .oracle import SampleConfig, Witness, ks_violation_search, positivity_violation_search
-from .pauli import BlochState, PauliElement, TensorPauliElement, from_matrix, to_matrix
+from .pauli import PauliElement, from_matrix, to_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochState",
     "DEFAULT",
     "DiagonalParams",
     "DiagonalTensorParams",
@@ -34,7 +33,6 @@ __all__ = [
     "ScalarPairParams",
     "Status",
     "TensorMap",
-    "TensorPauliElement",
     "Tolerances",
     "TriState",
     "Verdict",

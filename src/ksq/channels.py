@@ -8,8 +8,10 @@ the tensor square is a pair (A, C) of real 3x3 matrices acting as
     out_dim                          2 or 4
     evaluate_batch(w0, w) -> (N, d, d)
 
-so the sampling oracle can consume channels, tensor maps and the closure
-combinators (unitary conjugation, convex mixing) uniformly.
+and nothing else applies a map: Choi matrices, KS defects and the
+sampling oracle all go through evaluate_batch, so channels, tensor maps
+and the closure combinators (unitary conjugation, convex mixing) are
+consumed uniformly.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ import numpy as np
 
 from . import pauli
 from .linalg import adjoint, thin_matmul
-from .pauli import ID2, PauliElement, from_matrix, to_matrix, to_matrix_batch
+from .pauli import ID2, to_matrix_batch
 from .tolerances import BOUNDARY, UNITARITY
+
+# largest parameter magnitude accepted for the scalar and matrix families:
+# any entry above 1 already fails positivity, and squares of entries past
+# about 1e154 overflow
+MAX_PARAM = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +75,24 @@ class DiagonalTensorParams:
 class ScalarPairParams:
     """Scalar tensor family T_(lam, mu): A = lam*1, C = mu*1.
 
-    Any reals are admitted; the classifiers decide membership in the
-    positive / KS / CP regions.
+    Any reals up to MAX_PARAM in magnitude are admitted; the classifiers
+    decide membership in the positive / KS / CP regions.
     """
 
     lam: float
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.mu)):
-            raise ValueError("scalar pair parameters must be finite")
+        if not (abs(self.lam) <= MAX_PARAM and abs(self.mu) <= MAX_PARAM):
+            raise ValueError(f"lam and mu must be finite, of magnitude <= {MAX_PARAM:g}")
 
 
 def _real33(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be a real 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must have finite entries")
+    if not np.all(np.abs(m) <= MAX_PARAM):
+        raise ValueError(f"{name} entries must be finite, of magnitude <= {MAX_PARAM:g}")
     return m
 
 
@@ -111,12 +118,6 @@ class QubitChannel:
     @classmethod
     def diagonal(cls, p: DiagonalParams) -> "QubitChannel":
         return cls(np.diag(p.as_array()))
-
-    def apply(self, x: PauliElement) -> PauliElement:
-        return PauliElement(x.w0, self.T @ x.w)
-
-    def apply_matrix(self, x: PauliElement) -> np.ndarray:
-        return to_matrix(self.apply(x))
 
     def evaluate_batch(self, w0, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
@@ -144,9 +145,6 @@ class TensorMap:
     def scalar(cls, p: ScalarPairParams) -> "TensorMap":
         return cls(p.lam * np.eye(3), p.mu * np.eye(3))
 
-    def apply_matrix(self, x: PauliElement) -> np.ndarray:
-        return pauli.tensor_to_matrix_batch(x.w0, self.A @ x.w, self.C @ x.w)
-
     def evaluate_batch(self, w0, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
         return pauli.tensor_to_matrix_batch(w0, thin_matmul(w, self.A.T), thin_matmul(w, self.C.T))
@@ -165,26 +163,32 @@ def split_phi_psi(m: TensorMap) -> tuple[QubitChannel, QubitChannel]:
 # Choi matrices: blocks of the map applied to matrix units
 # ---------------------------------------------------------------------------
 
-_E = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
-for _i in range(2):
-    for _j in range(2):
-        _E[_i][_j][_i, _j] = 1.0
+# Pauli coefficients (w0, w) of the matrix units e11, e12, e21, e22
+_UNIT_W0 = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
+_UNIT_W = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]], dtype=complex)
 
 
+def _unit_blocks(m) -> np.ndarray:
+    """Block matrix [[m(e11), m(e12)], [m(e21), m(e22)]], one evaluate_batch call."""
+    d = m.out_dim
+    blocks = m.evaluate_batch(_UNIT_W0, _UNIT_W).reshape(2, 2, d, d)
+    return blocks.swapaxes(1, 2).reshape(2 * d, 2 * d)
+
+
+# two functions, not one bound to two names, so that wrapping one name
+# (tracing, tests) leaves the other alone
 def choi_matrix_qubit(ch: QubitChannel) -> np.ndarray:
     """4x4 block matrix [[Phi(e11), Phi(e12)], [Phi(e21), Phi(e22)]].
 
     Blocks carry no extra prefactor; the identity channel gives twice the
     maximally entangled projector.
     """
-    blocks = [[ch.apply_matrix(from_matrix(_E[i][j])) for j in range(2)] for i in range(2)]
-    return np.block(blocks)
+    return _unit_blocks(ch)
 
 
 def choi_matrix_tensor(m: TensorMap) -> np.ndarray:
     """8x8 block matrix of the four 4x4 blocks T(e_ij)."""
-    blocks = [[m.apply_matrix(from_matrix(_E[i][j])) for j in range(2)] for i in range(2)]
-    return np.block(blocks)
+    return _unit_blocks(m)
 
 
 def _choi_templates(builder, zero_map, nparams: int):
@@ -237,9 +241,6 @@ class ConjugatedMap:
     def out_dim(self) -> int:
         return self.base.out_dim
 
-    def apply_matrix(self, x: PauliElement) -> np.ndarray:
-        return self.evaluate_batch(np.array([x.w0]), x.w[None, :])[0]
-
     def evaluate_batch(self, w0, w) -> np.ndarray:
         inner = self.V @ to_matrix_batch(w0, w) @ adjoint(self.V)
         w0_in = np.einsum("...ii->...", inner) / 2.0
@@ -274,9 +275,6 @@ class MixedMap:
     def out_dim(self) -> int:
         return self.a.out_dim
 
-    def apply_matrix(self, x: PauliElement) -> np.ndarray:
-        return self.evaluate_batch(np.array([x.w0]), x.w[None, :])[0]
-
     def evaluate_batch(self, w0, w) -> np.ndarray:
         return self.lam * self.a.evaluate_batch(w0, w) + (1.0 - self.lam) * self.b.evaluate_batch(
             w0, w
@@ -309,7 +307,6 @@ class Family:
 
     arity   number of reals after ``kind:``
     params  values -> parameter record (a TensorMap for ``tmat``)
-    values  parameter record -> values, the inverse of params
     map     parameter record -> evaluable map
     choi    stack (N, arity) of parameter rows -> stack of Choi matrices
     box     (lo, hi) range of every parameter on the agreement harness
@@ -318,7 +315,6 @@ class Family:
 
     arity: int
     params: Callable
-    values: Callable
     map: Callable
     choi: Callable
     box: Optional[tuple]
@@ -331,23 +327,19 @@ def _diag_stack(rows) -> np.ndarray:
     return out
 
 
-def _lams(p) -> tuple:
-    return p.lam1, p.lam2, p.lam3
-
-
 # the Choi builders look choi_matrix_*_batch up when called, so replacing
 # the module attribute (tracing, tests) reaches every family
 FAMILIES = {
     "phi": Family(
-        3, lambda v: DiagonalParams(*v), _lams, QubitChannel.diagonal,
+        3, lambda v: DiagonalParams(*v), QubitChannel.diagonal,
         lambda rows: choi_matrix_qubit_batch(_diag_stack(rows)), (-1.0, 1.0),
     ),
     "tdiag": Family(
-        3, lambda v: DiagonalTensorParams(*v), _lams, TensorMap.diagonal,
+        3, lambda v: DiagonalTensorParams(*v), TensorMap.diagonal,
         lambda rows: choi_matrix_tensor_batch(_diag_stack(rows), _diag_stack(rows)), (-0.5, 0.5),
     ),
     "tlm": Family(
-        2, lambda v: ScalarPairParams(*v), lambda p: (p.lam, p.mu), TensorMap.scalar,
+        2, lambda v: ScalarPairParams(*v), TensorMap.scalar,
         lambda rows: choi_matrix_tensor_batch(
             rows[:, 0, None, None] * np.eye(3), rows[:, 1, None, None] * np.eye(3)
         ),
@@ -355,8 +347,7 @@ FAMILIES = {
     ),
     # A row-major, then C
     "tmat": Family(
-        18, lambda v: TensorMap(np.reshape(v[:9], (3, 3)), np.reshape(v[9:], (3, 3))),
-        lambda m: (*m.A.ravel(), *m.C.ravel()), lambda m: m,
+        18, lambda v: TensorMap(np.reshape(v[:9], (3, 3)), np.reshape(v[9:], (3, 3))), lambda m: m,
         lambda rows: choi_matrix_tensor_batch(rows[:, :9], rows[:, 9:]), None,
     ),
 }
@@ -392,10 +383,6 @@ def parse_descriptor(text: str):
         return kind, fam.params(values)
     except ValueError as exc:
         raise DescriptorError(str(exc)) from None
-
-
-def format_descriptor(kind: str, params) -> str:
-    return f"{kind}:" + ",".join(format(float(v), ".17g") for v in _family(kind).values(params))
 
 
 def map_for_descriptor(kind: str, params):

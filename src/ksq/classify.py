@@ -280,17 +280,8 @@ def ks_witness_for_diag(p: DiagonalParams, n: np.ndarray) -> PauliElement:
 def ks_defect_min_eig(ch, x: PauliElement, tols: Tolerances = DEFAULT) -> float:
     """Smallest eigenvalue of map(x*x) - map(x)* map(x) (definition level);
     a defect farther than tols.hermiticity from Hermitian raises ValueError."""
-    sq = pauli.star_square(x)
-    m_sq = (
-        ch.apply_matrix(sq)
-        if hasattr(ch, "apply_matrix")
-        else ch.evaluate_batch(np.array([sq.w0]), sq.w[None, :])[0]
-    )
-    m_x = (
-        ch.apply_matrix(x)
-        if hasattr(ch, "apply_matrix")
-        else ch.evaluate_batch(np.array([x.w0]), x.w[None, :])[0]
-    )
+    c0, c = pauli.star_square_coeffs(x.w0, x.w)
+    m_sq, m_x = ch.evaluate_batch(np.array([c0, x.w0]), np.stack([c, x.w]))
     defect = m_sq - linalg.adjoint(m_x) @ m_x
     dev = linalg.hermitian_deviation(defect)
     if dev > tols.hermiticity:
@@ -298,12 +289,14 @@ def ks_defect_min_eig(ch, x: PauliElement, tols: Tolerances = DEFAULT) -> float:
     return float(linalg.batch_min_eigenvalue(defect))
 
 
-def ks_phi_diag_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
+def ks_phi_diag_exact(p: DiagonalParams, tols: Tolerances = DEFAULT, cfg=None) -> TriState:
     """Exact KS classification of a diagonal channel.
 
     Fast path: the three closed-form inequalities (sufficient).  When one
     is violated the exact defect supremum decides; see the module
-    docstring for why the inequalities alone over-reject.
+    docstring for why the inequalities alone over-reject.  cfg is the
+    oracle's SampleConfig for a witness that the supremum's phases miss;
+    None means classify_full's default budget.
     """
     res = diag_ks_residuals(p.lam1, p.lam2, p.lam3)
     if all_hold(res, tols.positivity):
@@ -323,11 +316,12 @@ def ks_phi_diag_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState
     if viol < -tols.ks_violation:
         return TriState(Status.FAILS, note, witness=(witness, viol))
     # the reconstructed phases can miss a very shallow supremum; a
-    # certificate must violate KS, so take the oracle's (at classify_full's
-    # default budget) or none at all
+    # certificate must violate KS, so take the oracle's or none at all
     from .oracle import SampleConfig, ks_violation_search
 
-    wit = ks_violation_search(ch, SampleConfig(n_samples=20000, seed=7, tol=tols.ks_violation))
+    if cfg is None:
+        cfg = SampleConfig(n_samples=20000, seed=7, tol=tols.ks_violation)
+    wit = ks_violation_search(ch, cfg)
     if wit is None:
         return TriState(Status.FAILS, note + "; no witness re-verifies")
     return TriState(
@@ -628,13 +622,6 @@ def ks_scalar_interval_holds(lam, tol: float = DEFAULT.positivity):
     return (lam >= -0.25 - tol) & (lam <= 0.5 + tol)
 
 
-def ks_phi_scalar_interval(lam: float, tols: Tolerances = DEFAULT) -> TriState:
-    """Exact KS interval for the scalar channel x -> w0 + 2*lam*w.s."""
-    if ks_scalar_interval_holds(lam, tols.positivity):
-        return TriState(Status.HOLDS_EXACT, f"lam = {lam:.6g} lies in [-1/4, 1/2]")
-    return TriState(Status.FAILS, f"lam = {lam:.6g} outside [-1/4, 1/2]")
-
-
 def ks_tlm(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
     """The scalar-family KS decision short of the oracle.
 
@@ -824,7 +811,7 @@ def _ks_tensor_map(p, m, tols, cfg) -> TriState:
 DECIDERS = {
     "phi": Deciders(
         positive=lambda p, m, tols, cfg: _positive_qubit_exact(m, tols),
-        ks=lambda p, m, tols, cfg: ks_phi_diag_exact(p, tols),
+        ks=lambda p, m, tols, cfg: ks_phi_diag_exact(p, tols, cfg),
         cp=lambda p, m, tols, cfg: cp_phi_exact(p, tols),
     ),
     "tdiag": Deciders(

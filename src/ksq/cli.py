@@ -45,7 +45,8 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"KSQ_SEED must be an integer, got {env!r}")
+            print(f"error: KSQ_SEED must be an integer, got {env!r}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE) from None
     return DEFAULT_SEED
 
 

@@ -1,9 +1,9 @@
 """Dense complex matrix kernel for matrices up to 8x8.
 
-Adjoints, Kronecker products, thin matrix products and Hermitian
-eigenvalues.  ``batch_min_eigenvalue`` (closed form for 2x2, LAPACK
-otherwise) is the production eigen path.  The sampling oracle calls it
-behind ``screen_below``, a batched LDL^H screen in real arithmetic on the
+Adjoints, thin matrix products and Hermitian eigenvalues.
+``batch_min_eigenvalue`` (closed form for 2x2, LAPACK otherwise) is the
+production eigen path.  The sampling oracle calls it behind
+``screen_below``, a batched LDL^H screen in real arithmetic on the
 entries the elimination reads, with one floor per matrix, and sends only
 the matrices that may lie below their floor to LAPACK.
 ``hermitian_eigenvalues`` is an in-house cyclic Jacobi iteration on the
@@ -85,19 +85,6 @@ def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     a = _as_square(a)
     return np.conj(np.swapaxes(a, -1, -2))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with row-major blocks.
-
-    Entry ((i*db + k), (j*db + l)) equals a[i, j] * b[k, l].  The result
-    dimension must stay within the 8x8 kernel limit.
-    """
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape[-1] * b.shape[-1] > MAX_DIM:
-        raise ValueError("Kronecker product exceeds the 8x8 kernel limit")
-    return np.kron(a, b)
 
 
 def hermitian_deviation(a):

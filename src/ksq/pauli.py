@@ -5,7 +5,7 @@ A 2x2 complex matrix is held as coefficients (w0, w) over the basis
 tensor square is held as (w0, w, r).  The matrix realisation places the
 first tensor slot on the fast (inner) Kronecker index:
 
-    tensor_to_matrix(w0, w, r) = w0*I4 + kron(I2, w.s) + kron(r.s, I2)
+    tensor_to_matrix_batch(w0, w, r) = w0*I4 + kron(I2, w.s) + kron(r.s, I2)
 
 which is the unique ordering reproducing the library's 4x4 and 8x8
 fixture matrices entry for entry.
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .tolerances import DEFAULT
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA = np.array(
@@ -48,44 +46,6 @@ class PauliElement:
         object.__setattr__(self, "w0", complex(self.w0))
         object.__setattr__(self, "w", _c3(self.w))
 
-    def is_self_adjoint(self) -> bool:
-        imag = np.concatenate([[self.w0.imag], self.w.imag])
-        return float(np.max(np.abs(imag))) <= DEFAULT.hermiticity
-
-    def close_to(self, other: "PauliElement") -> bool:
-        return abs(self.w0 - other.w0) <= 1e-12 and bool(np.all(np.abs(self.w - other.w) <= 1e-12))
-
-
-@dataclass(frozen=True, eq=False)
-class BlochState:
-    """State functional f with ||f|| <= 1: x -> w0 + <w, f>."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float).reshape(3)
-        if np.linalg.norm(f) > 1.0 + 1e-12:
-            raise ValueError("Bloch vector must satisfy ||f|| <= 1")
-        object.__setattr__(self, "f", f)
-
-
-@dataclass(frozen=True, eq=False)
-class TensorPauliElement:
-    """Element w0*1(x)1 + w.s(x)1 + 1(x)r.s of the 4x4 tensor square."""
-
-    w0: complex
-    w: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w0", complex(self.w0))
-        object.__setattr__(self, "w", _c3(self.w))
-        object.__setattr__(self, "r", _c3(self.r))
-
-    def is_self_adjoint(self) -> bool:
-        imag = np.concatenate([[self.w0.imag], self.w.imag, self.r.imag])
-        return float(np.max(np.abs(imag))) <= DEFAULT.hermiticity
-
 
 def to_matrix(x: PauliElement) -> np.ndarray:
     """2x2 matrix w0*1 + w1*s1 + w2*s2 + w3*s3."""
@@ -109,19 +69,13 @@ def from_matrix(m) -> PauliElement:
     return PauliElement(w0, w)
 
 
-def bracket(u, v) -> np.ndarray:
-    """Complex-bilinear cross product [u, v] = u x v.
-
-    Fixed so that (u.s)(v.s) - (v.s)(u.s) = 2i (u x v).s; no conjugation
-    happens inside the bracket.
-    """
-    return np.cross(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-
-
 def star_square_coeffs(w0, w):
     """Coefficients of x*x for stacked (w0, w).
 
     x*x = (|w0|^2 + ||w||^2) 1 + (w0 conj(w) + conj(w0) w - i[w, conj(w)]).s
+
+    with the complex-bilinear bracket [u, v] = np.cross(u, v), fixed by
+    (u.s)(v.s) - (v.s)(u.s) = 2i [u, v].s; no conjugation happens inside it.
     """
     w0 = np.asarray(w0, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -137,33 +91,10 @@ def star_square(x: PauliElement) -> PauliElement:
     return PauliElement(complex(c0), cvec)
 
 
-def is_positive_qubit(x: PauliElement) -> bool:
-    """Positivity test ||w|| <= w0 for self-adjoint x, closed with DEFAULT.positivity."""
-    if not x.is_self_adjoint():
-        raise ValueError("positivity test requires a self-adjoint element")
-    w0 = x.w0.real
-    return w0 >= 0.0 and float(np.linalg.norm(x.w.real)) <= w0 + DEFAULT.positivity
-
-
-def tensor_simple_spectrum(x: TensorPauliElement) -> np.ndarray:
-    """The four eigenvalues {w0 +- ||w|| +- ||r||}, ascending.
-
-    Positivity of x is equivalent to ||w|| + ||r|| <= w0.
-    """
-    if not x.is_self_adjoint():
-        raise ValueError("spectrum formula requires a self-adjoint element")
-    nw = float(np.linalg.norm(x.w.real))
-    nr = float(np.linalg.norm(x.r.real))
-    w0 = x.w0.real
-    return np.sort([w0 - nw - nr, w0 - nw + nr, w0 + nw - nr, w0 + nw + nr])
-
-
-def tensor_to_matrix(x: TensorPauliElement) -> np.ndarray:
-    """4x4 realisation; see the module docstring for the slot convention."""
-    return tensor_to_matrix_batch(x.w0, x.w, x.r)
-
-
 def tensor_to_matrix_batch(w0, w, r) -> np.ndarray:
+    """4x4 matrices w0*I4 + kron(I2, w.s) + kron(r.s, I2) for stacked
+    coefficients w0: (...,), w and r: (..., 3); see the module docstring
+    for the slot convention."""
     w0 = np.asarray(w0, dtype=complex)
     wmat = to_matrix_batch(np.zeros_like(w0), w)
     rmat = to_matrix_batch(np.zeros_like(w0), r)
@@ -179,7 +110,3 @@ def tensor_to_matrix_batch(w0, w, r) -> np.ndarray:
             out[..., 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] += rmat[..., i, j, None, None] * eye2
     return out
 
-
-def eval_state(f: BlochState, x: PauliElement) -> complex:
-    """State evaluation w0 + sum_k wk fk (plain dot with the real vector f)."""
-    return complex(x.w0 + np.dot(x.w, f.f))

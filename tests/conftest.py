@@ -21,3 +21,13 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def apply(m, x) -> np.ndarray:
+    """The matrix m(x) for one PauliElement x, through m.evaluate_batch."""
+    return m.evaluate_batch(np.array([x.w0]), x.w[None, :])[0]
+
+
+def coeffs_close(x, y, tol: float = 1e-12) -> bool:
+    """Pauli coefficients (w0, w) of x and y agree entry by entry within tol."""
+    return abs(x.w0 - y.w0) <= tol and bool(np.all(np.abs(x.w - y.w) <= tol))

@@ -28,10 +28,8 @@ from ksq.cli import ScanSpec, scan_flags, verify_scan_against_choi
 from ksq.oracle import SampleConfig, ks_violation_search, positivity_violation_search
 from ksq.pauli import (
     PauliElement,
-    TensorPauliElement,
     star_square,
     star_square_coeffs,
-    tensor_simple_spectrum,
     tensor_to_matrix_batch,
     to_matrix_batch,
 )

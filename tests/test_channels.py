@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import apply, coeffs_close, random_unitary
 from ksq import classify, linalg
 from ksq.channels import (
     FAMILIES,
@@ -18,7 +18,6 @@ from ksq.channels import (
     choi_matrix_tensor_batch,
     conjugate_by_unitaries,
     convex_combination,
-    format_descriptor,
     map_for_descriptor,
     parse_descriptor,
     split_phi_psi,
@@ -73,23 +72,25 @@ def tdiag_choi_half_printed(l1, l2):
 def test_identity_channel(rng):
     ch = QubitChannel.identity()
     x = random_element(rng)
-    assert ch.apply(x).close_to(x)
+    assert coeffs_close(from_matrix(apply(ch, x)), x)
 
 
 def test_transpose_channel_is_matrix_transpose(rng):
     ch = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
     s2 = PauliElement(0.0, [0, 1, 0])
-    assert ch.apply(s2).close_to(PauliElement(0.0, [0, -1, 0]))
+    assert coeffs_close(from_matrix(apply(ch, s2)), PauliElement(0.0, [0, -1, 0]))
     for _ in range(20):
         x = random_element(rng)
-        assert np.max(np.abs(ch.apply_matrix(x) - to_matrix(x).T)) < 1e-13
+        assert np.max(np.abs(apply(ch, x) - to_matrix(x).T)) < 1e-13
 
 
 def test_trace_preservation(rng):
     ch = QubitChannel(rng.normal(size=(3, 3)))
     for _ in range(50):
         x = random_element(rng)
-        assert ch.apply(x).w0 == x.w0
+        # w0*1 passes through and w.s stays traceless, exactly
+        assert np.array_equal(apply(ch, PauliElement(x.w0)), x.w0 * np.eye(2))
+        assert np.trace(apply(ch, PauliElement(0.0, x.w))) == 0
 
 
 def test_channel_batch_matches_single(rng):
@@ -99,7 +100,7 @@ def test_channel_batch_matches_single(rng):
         np.array([x.w0 for x in xs]), np.stack([x.w for x in xs])
     )
     for k, x in enumerate(xs):
-        assert np.allclose(batch[k], ch.apply_matrix(x))
+        assert np.allclose(batch[k], to_matrix(PauliElement(x.w0, ch.T @ x.w)))
 
 
 # --- tensor maps ------------------------------------------------------------
@@ -107,20 +108,20 @@ def test_channel_batch_matches_single(rng):
 
 def test_tensor_map_unital(rng):
     m = TensorMap(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    assert np.allclose(m.apply_matrix(PauliElement(1.0)), np.eye(4))
+    assert np.allclose(apply(m, PauliElement(1.0)), np.eye(4))
 
 
 def test_tensor_map_zero_family(rng):
     m = TensorMap(np.zeros((3, 3)), np.zeros((3, 3)))
     x = random_element(rng)
-    assert np.allclose(m.apply_matrix(x), x.w0 * np.eye(4))
+    assert np.allclose(apply(m, x), x.w0 * np.eye(4))
 
 
 def test_tensor_diag_on_e11():
     for l3 in (-0.5, -0.1, 0.3, 0.5):
         m = TensorMap.diagonal(DiagonalTensorParams(0.2, -0.4, l3))
         e11 = from_matrix(np.diag([1.0, 0.0]))
-        got = m.apply_matrix(e11)
+        got = apply(m, e11)
         want = 0.5 * np.diag([1 + 2 * l3, 1.0, 1.0, 1 - 2 * l3]).astype(complex)
         assert np.max(np.abs(got - want)) < 1e-15
 
@@ -130,7 +131,7 @@ def test_tensor_trace_preservation(rng):
     for _ in range(50):
         x = random_element(rng)
         tr_in = np.trace(to_matrix(x)) / 2.0
-        tr_out = np.trace(m.apply_matrix(x)) / 4.0
+        tr_out = np.trace(apply(m, x)) / 4.0
         assert abs(tr_in - tr_out) < 1e-13
 
 
@@ -142,8 +143,8 @@ def test_split_phi_psi_matrices(rng):
     zero = TensorMap(np.zeros((3, 3)), np.zeros((3, 3)))
     phi0, psi0 = split_phi_psi(zero)
     x = random_element(rng)
-    assert phi0.apply(x).close_to(PauliElement(x.w0))
-    assert psi0.apply(x).close_to(PauliElement(x.w0))
+    assert coeffs_close(from_matrix(apply(phi0, x)), PauliElement(x.w0))
+    assert coeffs_close(from_matrix(apply(psi0, x)), PauliElement(x.w0))
 
 
 def test_split_phi_psi_recombination(rng):
@@ -152,10 +153,8 @@ def test_split_phi_psi_recombination(rng):
     eye = np.eye(2, dtype=complex)
     for _ in range(200):
         x = random_element(rng)
-        direct = m.apply_matrix(x)
-        recombined = 0.5 * (
-            linalg.kron(eye, phi.apply_matrix(x)) + linalg.kron(psi.apply_matrix(x), eye)
-        )
+        direct = apply(m, x)
+        recombined = 0.5 * (np.kron(eye, apply(phi, x)) + np.kron(apply(psi, x), eye))
         assert np.max(np.abs(direct - recombined)) < 1e-13
 
 
@@ -230,14 +229,14 @@ def test_conjugation_identity_pair(rng):
     wrapped = conjugate_by_unitaries(ch, np.eye(2), np.eye(2))
     for _ in range(20):
         x = random_element(rng)
-        assert np.max(np.abs(wrapped.apply_matrix(x) - ch.apply_matrix(x))) < 1e-13
+        assert np.max(np.abs(apply(wrapped, x) - apply(ch, x))) < 1e-13
 
 
 def test_conjugation_by_sigma1():
     wrapped = conjugate_by_unitaries(QubitChannel.identity(), SIGMA[0], np.eye(2))
     x = PauliElement(0.3, [0.1, -0.2, 0.5])
     want = SIGMA[0] @ to_matrix(x) @ SIGMA[0]
-    assert np.max(np.abs(wrapped.apply_matrix(x) - want)) < 1e-14
+    assert np.max(np.abs(apply(wrapped, x) - want)) < 1e-14
 
 
 def test_conjugation_rejects_non_unitary():
@@ -276,13 +275,18 @@ def test_convex_combination_generic_maps(rng):
     mix = convex_combination(a, b, 0.25)
     assert isinstance(mix, MixedMap)
     x = random_element(rng)
-    want = 0.25 * a.apply_matrix(x) + 0.75 * b.apply_matrix(x)
-    assert np.allclose(mix.apply_matrix(x), want)
+    want = 0.25 * apply(a, x) + 0.75 * apply(b, x)
+    assert np.allclose(apply(mix, x), want)
     with pytest.raises(ValueError, match="codomain"):
         convex_combination(a, QubitChannel.identity(), 0.5)
 
 
 # --- descriptors ------------------------------------------------------------
+
+
+def _descriptor(kind, values):
+    """The CLI wire format: each value in .17g, which round-trips a float."""
+    return f"{kind}:" + ",".join(format(float(v), ".17g") for v in values)
 
 
 @pytest.mark.parametrize(
@@ -297,12 +301,13 @@ def test_convex_combination_generic_maps(rng):
 def test_descriptor_roundtrip(text, kind):
     got_kind, params = parse_descriptor(text)
     assert got_kind == kind
-    again_kind, again = parse_descriptor(format_descriptor(got_kind, params))
+    values = [float(v) for v in text.partition(":")[2].split(",")]
+    again_kind, again = parse_descriptor(_descriptor(kind, values))
     assert again_kind == kind
     m1 = map_for_descriptor(got_kind, params)
     m2 = map_for_descriptor(again_kind, again)
     x = PauliElement(0.4, [0.1, 0.2, 0.3])
-    assert np.allclose(m1.apply_matrix(x), m2.apply_matrix(x))
+    assert np.allclose(apply(m1, x), apply(m2, x))
 
 
 @pytest.mark.parametrize(
@@ -329,12 +334,13 @@ def test_family_table_entry(kind):
     values = [float(v) for v in np.linspace(-0.4, 0.3, fam.arity)]
     got_kind, params = parse_descriptor(f"{kind}:" + ",".join(map(repr, values)))
     assert got_kind == kind
-    assert [float(v) for v in fam.values(params)] == values
-    again_kind, again = parse_descriptor(format_descriptor(kind, params))
+    again_kind, again = parse_descriptor(_descriptor(kind, values))
     assert again_kind == kind
-    assert [float(v) for v in fam.values(again)] == values
-    # the Choi-stack builder agrees with the single-map Choi matrix of the map builder
-    m = map_for_descriptor(kind, params)
+    x = PauliElement(0.4, [0.1, 0.2, 0.3])
+    m, m_again = map_for_descriptor(kind, params), map_for_descriptor(kind, again)
+    assert np.array_equal(apply(m, x), apply(m_again, x))
+    # the Choi-stack builder of the values agrees with the single-map Choi
+    # matrix of the map builder
     single = choi_matrix_qubit(m) if m.out_dim == 2 else choi_matrix_tensor(m)
     assert np.allclose(fam.choi(np.array([values]))[0], single, atol=1e-15)
     assert kind in classify.DECIDERS

@@ -29,7 +29,7 @@ from ksq.classify import (
     ks_defect_min_eig,
     ks_operator,
     ks_phi_diag_exact,
-    ks_phi_scalar_interval,
+    ks_scalar_interval_holds,
     ks_tensor_diag_sufficient,
     ks_tensor_sufficient,
     ks_tlm_sufficient,
@@ -89,11 +89,9 @@ def test_ks_phi_diag_sufficiency_gap():
 
 def test_scalar_interval_consistency_with_diag_exact():
     for lam in np.linspace(-0.5, 0.5, 41):
-        interval = ks_phi_scalar_interval(lam)
+        interval = bool(ks_scalar_interval_holds(lam))
         diag = ks_phi_diag_exact(DiagonalParams(2 * lam, 2 * lam, 2 * lam))
-        assert (interval.status is Status.HOLDS_EXACT) == (
-            diag.status is Status.HOLDS_EXACT
-        ), f"disagreement at lam={lam}"
+        assert interval == (diag.status is Status.HOLDS_EXACT), f"disagreement at lam={lam}"
 
 
 def test_phase_supremum_against_brute_force(rng):
@@ -168,6 +166,25 @@ def test_ks_phi_diag_witness_fallbacks(monkeypatch):
     assert tri.status is Status.FAILS
     assert tri.witness is None
     assert "defect supremum" in tri.note and "no witness" in tri.note
+
+
+def test_ks_phi_diag_witness_fallback_uses_the_oracle_budget(monkeypatch):
+    # a shallow supremum (2.25e-9) whose reconstructed witness misses, so
+    # the oracle is asked: at classify_full's budget, and at its defaults
+    # when ks_phi_diag_exact is called alone
+    seen, search = [], oracle.ks_violation_search
+
+    def spy(map_obj, cfg):
+        seen.append((cfg.n_samples, cfg.seed))
+        return search(map_obj, cfg)
+
+    monkeypatch.setattr(oracle, "ks_violation_search", spy)
+    v = -0.5000000005
+    verdict = classify_full(f"phi:{v},{v},{v}", n_samples=500, seed=3)
+    assert verdict.kadison_schwarz.status is Status.FAILS
+    assert seen == [(500, 3)]
+    ks_phi_diag_exact(DiagonalParams(v, v, v))
+    assert seen[1:] == [(20000, 7)]
 
 
 def test_ks_probe_vectors_read_only():
@@ -701,11 +718,10 @@ def test_ks_operator_honours_tensor_ks_slack():
     assert tri.status is Status.HOLDS_SUFFICIENT and tri.note.startswith("KS operator lambda_min")
 
 
-def test_ks_phi_scalar_interval_endpoints():
-    assert ks_phi_scalar_interval(0.5).status is Status.HOLDS_EXACT
-    assert ks_phi_scalar_interval(-0.25).status is Status.HOLDS_EXACT
-    assert ks_phi_scalar_interval(-0.3).status is Status.FAILS
-    assert ks_phi_scalar_interval(0.51).status is Status.FAILS
+def test_ks_scalar_interval_holds_endpoints():
+    assert ks_scalar_interval_holds(0.5) and ks_scalar_interval_holds(-0.25)
+    assert not ks_scalar_interval_holds(-0.3) and not ks_scalar_interval_holds(0.51)
+    assert ks_scalar_interval_holds([-0.3, -0.25, 0.5, 0.51]).tolist() == [False, True, True, False]
 
 
 # --- complete positivity ----------------------------------------------------

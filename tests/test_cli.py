@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksq import classify, cli
 from ksq.channels import (
+    MAX_PARAM,
     DiagonalParams,
     DiagonalTensorParams,
     QubitChannel,
@@ -75,6 +76,22 @@ def test_classify_out_of_range_exits_2(capsys):
     assert run(["classify", "phi:2,0,0"]) == 2
     assert run(["classify", "blah:1,2,3"]) == 2
     assert run(["classify", "phi:not,a,number"]) == 2
+
+
+@pytest.mark.parametrize("family", ["tlm", "tmat"])
+def test_huge_parameters_exit_2_or_classify(family, capsys):
+    # squares of entries past ~1e154 overflow; magnitudes above
+    # channels.MAX_PARAM are rejected at parse time instead
+    pattern = np.random.default_rng(17).uniform(-1.0, 1.0, 18 if family == "tmat" else 2)
+    for e in range(301):
+        desc = f"{family}:" + ",".join(repr(float(v)) for v in 10.0**e * pattern)
+        for argv in (["classify", desc, "--samples", "64"], ["oracle", desc, "--samples", "64"]):
+            code = run(argv)
+            if 10.0**e * np.max(np.abs(pattern)) > MAX_PARAM:
+                assert code == 2 and "error:" in capsys.readouterr().err, argv
+            else:
+                assert code in (0, 1), argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -189,8 +206,8 @@ def test_fig2_flags_match_deciders(point):
     p = ScalarPairParams(lam, mu)
     assert cp == (classify.cp_tlm_exact(p).status is classify.Status.HOLDS_EXACT)
     assert ks == (classify.ks_tlm_sufficient(p).status is classify.Status.HOLDS_SUFFICIENT)
-    in_square = [classify.ks_phi_scalar_interval(v).status for v in (lam, mu)]
-    assert comps == (in_square == [classify.Status.HOLDS_EXACT] * 2)
+    in_square = [bool(classify.ks_scalar_interval_holds(v)) for v in (lam, mu)]
+    assert comps == all(in_square)
 
 
 def test_scan_csv_format(tmp_path):
@@ -407,7 +424,7 @@ def test_harness_unknown_family():
 # --- seed plumbing ----------------------------------------------------------
 
 
-def test_ksq_seed_env(monkeypatch):
+def test_ksq_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("KSQ_SEED", "12345")
     parser = cli.build_parser()
     args = parser.parse_args(["oracle", "phi:1,1,1"])
@@ -415,5 +432,7 @@ def test_ksq_seed_env(monkeypatch):
     args = parser.parse_args(["oracle", "phi:1,1,1", "--seed", "9"])
     assert args.seed == 9
     monkeypatch.setenv("KSQ_SEED", "not-an-int")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.build_parser()
+    assert exc.value.code == cli.EXIT_PARSE == 2
+    assert capsys.readouterr().err.startswith("error: KSQ_SEED must be an integer")

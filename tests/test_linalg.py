@@ -33,28 +33,6 @@ def test_adjoint_involution(rng):
     assert np.array_equal(linalg.adjoint(linalg.adjoint(a)), a)
 
 
-def test_kron_identities():
-    assert np.array_equal(linalg.kron(I2, I2), I4)
-    assert np.array_equal(linalg.kron(S3, I2), np.diag([1, 1, -1, -1.0]).astype(complex))
-
-
-def test_kron_mixed_product(rng):
-    a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-    lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-    rhs = linalg.kron(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-
-def test_kron_adjoint(rng):
-    a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
-    assert np.allclose(linalg.adjoint(linalg.kron(a, b)), linalg.kron(linalg.adjoint(a), linalg.adjoint(b)))
-
-
-def test_kron_size_limit():
-    with pytest.raises(ValueError, match="8x8"):
-        linalg.kron(I4, I4)
-
-
 def test_eigenvalues_identity():
     assert np.allclose(linalg.hermitian_eigenvalues(I4), [1, 1, 1, 1])
 
@@ -63,7 +41,7 @@ def test_eigenvalues_tensor_element_fixture():
     # w0 = 1 with coefficient norms 0.3 and 0.4: spectrum {1 +- 0.3 +- 0.4}
     w = np.array([0.3, 0.0, 0.0])
     r = np.array([0.0, 0.4, 0.0])
-    m = I4 + linalg.kron(I2, np.einsum("k,kij->ij", w, SIGMA)) + linalg.kron(
+    m = I4 + np.kron(I2, np.einsum("k,kij->ij", w, SIGMA)) + np.kron(
         np.einsum("k,kij->ij", r, SIGMA), I2
     )
     assert np.allclose(linalg.hermitian_eigenvalues(m), [0.3, 0.9, 1.1, 1.7], atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import apply, random_unitary
 from ksq import classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
@@ -103,8 +103,8 @@ def test_defect_shift_invariance(rng):
 
 def _defect_matrix(ch, x):
     sq = star_square(x)
-    m_sq = ch.apply_matrix(sq)
-    m_x = ch.apply_matrix(x)
+    m_sq = apply(ch, sq)
+    m_x = apply(ch, x)
     return m_sq - m_x.conj().T @ m_x
 
 

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import coeffs_close
 from ksq import linalg, pauli
-from ksq.pauli import (
-    BlochState,
-    PauliElement,
-    TensorPauliElement,
-    bracket,
-    eval_state,
-    from_matrix,
-    is_positive_qubit,
-    star_square,
-    tensor_simple_spectrum,
-    tensor_to_matrix,
-    to_matrix,
-)
+from ksq.pauli import PauliElement, from_matrix, star_square, tensor_to_matrix_batch, to_matrix
 
 
 def random_c3(rng, n=1):
@@ -52,40 +41,25 @@ def test_from_matrix_dimension_error():
         from_matrix(np.eye(3))
 
 
-def test_bracket_axis_and_antisymmetry(rng):
-    e = np.eye(3)
-    assert np.allclose(bracket(e[0], e[1]), e[2])
-    u = random_c3(rng)
-    assert np.allclose(bracket(u, u), 0.0)
-    v, w = random_c3(rng), random_c3(rng)
-    assert np.allclose(bracket(u, v), -bracket(v, u))
-    a, b = rng.normal(size=2)
-    assert np.allclose(bracket(a * u + b * v, w), a * bracket(u, w) + b * bracket(v, w))
-
-
-def test_bracket_orthogonality_real(rng):
-    u = rng.normal(size=3)
-    v = rng.normal(size=3)
-    assert abs(np.dot(bracket(u, v), u)) < 1e-12
-
-
 def test_bracket_commutator_identity(rng):
+    # the bracket [u, v] = np.cross(u, v) that star_square_coeffs uses:
+    # (u.s)(v.s) - (v.s)(u.s) = 2i [u, v].s, complex-bilinear
     for _ in range(50):
         u, v = random_c3(rng), random_c3(rng)
         mu = to_matrix(PauliElement(0.0, u))
         mv = to_matrix(PauliElement(0.0, v))
         lhs = mu @ mv - mv @ mu
-        rhs = 2j * to_matrix(PauliElement(0.0, bracket(u, v)))
+        rhs = 2j * to_matrix(PauliElement(0.0, np.cross(u, v)))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_star_square_fixtures():
-    assert star_square(PauliElement(1.0)).close_to(PauliElement(1.0))
-    assert star_square(PauliElement(0.0, [1, 0, 0])).close_to(PauliElement(1.0))
+    assert coeffs_close(star_square(PauliElement(1.0)), PauliElement(1.0))
+    assert coeffs_close(star_square(PauliElement(0.0, [1, 0, 0])), PauliElement(1.0))
     x = PauliElement(0.0, [0.0, 1.0, 1.0j])
     sq = star_square(x)
     assert sq.w0 == pytest.approx(2.0)
-    expected_vec = -1j * bracket(x.w, np.conj(x.w))
+    expected_vec = -1j * np.cross(x.w, np.conj(x.w))
     assert np.allclose(sq.w, expected_vec)
     assert np.linalg.norm(sq.w) == pytest.approx(2.0)
 
@@ -98,42 +72,6 @@ def test_star_square_against_direct_matrices(rng):
         sq = star_square(x)
         assert abs(direct.w0 - sq.w0) < 1e-12
         assert np.max(np.abs(direct.w - sq.w)) < 1e-12
-
-
-def test_is_positive_qubit_fixtures():
-    assert is_positive_qubit(PauliElement(1.0))
-    assert is_positive_qubit(PauliElement(1.0, [0, 0, 1]))  # boundary, rank one
-    assert not is_positive_qubit(PauliElement(0.5, [0.6, 0, 0]))
-    with pytest.raises(ValueError, match="self-adjoint"):
-        is_positive_qubit(PauliElement(1.0j))
-
-
-def test_is_positive_matches_eigensolver(rng):
-    for _ in range(500):
-        x = PauliElement(rng.normal(), rng.normal(size=3))
-        closed = is_positive_qubit(x)
-        spectral = linalg.min_eigenvalue(to_matrix(x)) >= -1e-9
-        assert closed == spectral
-
-
-def test_tensor_simple_spectrum_fixtures(rng):
-    x = TensorPauliElement(1.0, np.zeros(3), np.zeros(3))
-    assert np.allclose(tensor_simple_spectrum(x), [1, 1, 1, 1])
-    w = rng.normal(size=3)
-    w = 0.3 * w / np.linalg.norm(w)
-    r = rng.normal(size=3)
-    r = 0.4 * r / np.linalg.norm(r)
-    assert np.allclose(tensor_simple_spectrum(TensorPauliElement(1.0, w, r)), [0.3, 0.9, 1.1, 1.7])
-    with pytest.raises(ValueError, match="self-adjoint"):
-        tensor_simple_spectrum(TensorPauliElement(1.0j, w, r))
-
-
-def test_tensor_spectrum_matches_eigensolver(rng):
-    for _ in range(300):
-        x = TensorPauliElement(rng.normal(), rng.normal(size=3), rng.normal(size=3))
-        analytic = tensor_simple_spectrum(x)
-        numeric = linalg.hermitian_eigenvalues(tensor_to_matrix(x))
-        assert np.max(np.abs(analytic - numeric)) < 1e-10
 
 
 def test_tensor_matrix_layout():
@@ -151,24 +89,5 @@ def test_tensor_matrix_layout():
             [0, r1 + 1j * r2, w1 + 1j * w2, w0 - w3 - r3],
         ]
     )
-    got = tensor_to_matrix(TensorPauliElement(w0, w, r))
+    got = tensor_to_matrix_batch(w0, w, r)
     assert np.max(np.abs(got - expected)) < 1e-15
-
-
-def test_eval_state():
-    x = PauliElement(0.7, [0.1, 0.2, 0.3])
-    assert eval_state(BlochState(np.zeros(3)), x) == pytest.approx(0.7)
-    assert eval_state(BlochState([0, 0, 1]), PauliElement(0, [0, 0, 1])) == pytest.approx(1.0)
-    assert eval_state(BlochState([0.6, 0, 0.8]), PauliElement(1.0, [1, 0, 0])) == pytest.approx(1.6)
-
-
-def test_bloch_state_norm_validation():
-    with pytest.raises(ValueError, match="<= 1"):
-        BlochState([1.0, 1.0, 0.0])
-
-
-def test_self_adjoint_flags():
-    assert PauliElement(1.0, [0.1, 0.2, 0.3]).is_self_adjoint()
-    assert not PauliElement(1.0j).is_self_adjoint()
-    assert TensorPauliElement(1.0, np.zeros(3), np.zeros(3)).is_self_adjoint()
-    assert not TensorPauliElement(1.0, [1j, 0, 0], np.zeros(3)).is_self_adjoint()
