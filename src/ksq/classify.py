@@ -37,12 +37,15 @@ KS operator of ``ks_operator``: the defect at x = w.s is a quadratic form
 in w with operator-valued entries, and where the 12x12 operator H that
 carries it is positive semidefinite, so is every defect (the converse
 fails: KS only needs H >= 0 on product vectors).  One ``eigvalsh``
-decides H >= 0, with margin lambda_min(H).  ``classify_full`` is the one
-place it runs: on any tensor map whose decider said INCONCLUSIVE, before
-the oracle.  The ``tmat`` decider has no test of its own and always says
-INCONCLUSIVE.  The ``tdiag`` and ``tlm`` deciders leave H out, so the
-agreement harness, which calls them directly, still sends exactly the
-points where the paper's inequalities fail to the oracle.
+decides H >= 0, with margin lambda_min(H).  ``classify_full`` tries it
+on any tensor map whose decider said INCONCLUSIVE, before the oracle.
+The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
+The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
+which calls them directly, still counts exactly the points where the
+paper's inequalities fail as resolved by the oracle.  The oracle screens
+with the same H (one formula, ``oracle._ks_operators``): a map whose
+lambda_min(H), less a rounding margin, is >= -tol/2 is clean without
+sampling, at the cost of one small eigvalsh.
 """
 
 from __future__ import annotations
@@ -166,7 +169,14 @@ def _phase_supremum(a1, a2, a3):
     triangle inequality, the interior pattern 2 d_k = pi - Theta_k competes,
     Theta_k being the angle opposite side 1/a_k of the triangle with sides
     1/a1, 1/a2, 1/a3; it is worth (s + a1 a2/a3 + a2 a3/a1 + a3 a1/a2) / 2.
+
+    A subnormal weight counts as 0.  Its few bits would otherwise reach the
+    interior ratios at the size of the other weights (a subnormal product
+    divided by a subnormal weight), while dropping it moves the supremum
+    by less than the weight itself; with normal weights each ratio is
+    within 2^-53 of its value.
     """
+    a1, a2, a3 = (np.where(np.abs(a) < np.finfo(float).tiny, 0.0, a) for a in (a1, a2, a3))
     s = a1 + a2 + a3
     pair = s - np.minimum(a1, np.minimum(a2, a3))
     valid = (a1 * a2 <= a3 * (a1 + a2)) & (a1 * a3 <= a2 * (a1 + a3)) & (a2 * a3 <= a1 * (a2 + a3))
@@ -527,12 +537,6 @@ def ks_tensor_sufficient(
     )
 
 
-# Levi-Civita symbol: s_k s_l = delta_kl 1 + i eps_klm s_m
-_EPS = np.zeros((3, 3, 3))
-_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-_EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-
-
 def ks_operator(map_obj) -> np.ndarray:
     """The KS operator H = sum_kl |k><l| (x) H_kl of a map, a (3d, 3d) matrix.
 
@@ -543,22 +547,11 @@ def ks_operator(map_obj) -> np.ndarray:
     so <xi, D(w) xi> = <w (x) xi, H w (x) xi>.  For a unital map, which
     has D(x + t 1) = D(x), H >= 0 therefore proves KS (M.-D. Choi, Illinois
     J. Math. 18 (1974) 565-574), and lambda_min(D(w)) >= lambda_min(H) for
-    unit w.  B_k and G_kl are read off the rows of oracle._ks_template.
+    unit w.  oracle._ks_operators assembles it from the map's template rows.
     """
-    from .oracle import _PAIRS, _ks_template
+    from .oracle import _ks_operators, _ks_template
 
-    d = map_obj.out_dim
-    rows = _ks_template(map_obj).reshape(-1, d, d)
-    basis, sym, skew = rows[:4], rows[8:14], rows[14:]
-    # rows 8.. hold G_kl + G_lk, then i(G_kl - G_lk), for the pairs k < l
-    gram = np.zeros((4, 4, d, d), dtype=complex)
-    gram[range(4), range(4)] = rows[4:8]
-    k, l = _PAIRS
-    gram[k, l] = 0.5 * (sym - 1j * skew)
-    gram[l, k] = 0.5 * (sym + 1j * skew)
-    blocks = np.eye(3)[:, :, None, None] * basis[0] + 1j * np.einsum("klm,mij->klij", _EPS, basis[1:])
-    blocks -= gram[1:, 1:]
-    return blocks.swapaxes(1, 2).reshape(3 * d, 3 * d)
+    return _ks_operators(_ks_template(map_obj), map_obj.out_dim)[0]
 
 
 def ks_operator_sufficient(m, tols: Tolerances = DEFAULT) -> TriState | None:

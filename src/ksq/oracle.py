@@ -36,6 +36,18 @@ has a LAPACK value above its floor, which is -tol/2 or the value of an
 earlier input of the same map, so it is neither the first input attaining
 the map's minimum below -tol nor tied with it: the witnesses are those of
 an unscreened search.
+
+Before any sampling, the KS search screens each w0-free map with its KS
+operator H (_ks_operators, one eigvalsh per tile of maps), which bounds
+every defect it would compute at once: lambda_min(D(w)) >= lambda_min(H)
+for unit w, with no unitality needed at w0 = 0.  A map whose computed
+lambda_min(H), less a rounding margin scaled by its largest template
+entry (see _certified), is >= -tol/2, and whose template skew is within
+the Hermiticity guard, gets None and joins no tile; when no map is left,
+the sphere is not drawn.  Every defect eigenvalue the search would
+compute for it lies at or above -tol/2, so an unscreened search returns
+None too, and the other maps' witnesses do not depend on their tile.
+Maps with sampled w0 and the positivity search are not screened.
 """
 
 from __future__ import annotations
@@ -160,13 +172,68 @@ def _monomials(w0, w) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _template_skew(templates: np.ndarray, d: int) -> float:
-    """|D - D*| <= skew * max_n sum_j |r_nj| entry by entry for the computed
-    D = sum_j r_j T_j: max |T_j - T_j*| plus the product's rounding,
-    80 eps >= 2 sqrt(2) gamma_20 per unit of max |T_j|."""
+def _template_skew(templates: np.ndarray, d: int) -> np.ndarray:
+    """One bound per map: |D - D*| <= skew * max_n sum_j |r_nj| entry by
+    entry for the computed D = sum_j r_j T_j: max |T_j - T_j*| plus the
+    product's rounding, 80 eps >= 2 sqrt(2) gamma_20 per unit of max |T_j|."""
     t = templates.reshape(len(templates), -1, d, d)
-    rounding = 80 * np.finfo(float).eps * np.max(np.abs(t))
-    return float(np.max(linalg.hermitian_deviation(t)) + rounding)
+    rounding = 80 * np.finfo(float).eps * np.max(np.abs(t), axis=(0, 2, 3))
+    return np.max(linalg.hermitian_deviation(t), axis=0) + rounding
+
+
+# Levi-Civita symbol: s_k s_l = delta_kl 1 + i eps_klm s_m
+_EPS = np.zeros((3, 3, 3))
+_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+# max_n sum_j |r_nj| over _monomials rows at w0 = 0, |w| = 1: 4 + sqrt(2)
+_UNIT_ROWS = 6.0
+
+
+def _ks_operators(templates: np.ndarray, d: int) -> np.ndarray:
+    """KS operators (P, 3d, 3d) of the P maps whose template rows are
+    concatenated in templates (20, P*d*d), as in a tile of _worst_defects.
+
+    H = sum_kl |k><l| (x) H_kl with H_kl = delta_kl B_0 + i eps_klm B_m - G_kl,
+    G_kl read off the template rows, so that the defect contraction at
+    x = w.s is exactly D(w) = sum_kl conj(w_k) w_l H_kl (see
+    classify.ks_operator).
+    """
+    rows = templates.reshape(len(templates), -1, d, d)
+    basis, sym, skew = rows[:4], rows[8:14], rows[14:]
+    # rows 8.. hold G_kl + G_lk, then i(G_kl - G_lk), for the pairs k < l
+    gram = np.zeros((4, 4) + rows.shape[1:], dtype=complex)
+    gram[range(4), range(4)] = rows[4:8]
+    k, l = _PAIRS
+    gram[k, l] = 0.5 * (sym - 1j * skew)
+    gram[l, k] = 0.5 * (sym + 1j * skew)
+    eye = np.eye(3)[:, :, None, None, None]
+    blocks = eye * basis[0] + 1j * np.einsum("klm,mpij->klpij", _EPS, basis[1:])
+    blocks -= gram[1:, 1:]
+    return blocks.transpose(2, 0, 3, 1, 4).reshape(-1, 3 * d, 3 * d)
+
+
+def _certified(templates: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """One flag per map of a tile: its KS operator puts every defect the
+    search would compute at w0 = 0 and unit w at or above -tol/2.
+
+    lambda_min(D(w)) >= lambda_min(H) for unit w, with no unitality needed
+    at w0 = 0.  A map is certified when lambda_min(H), as LAPACK computes
+    it, less a margin, is >= -tol/2, and its template skew is within the
+    guard of _defects.  With s the map's largest template entry, the
+    margin is 64 (3d)^2 eps s: it covers the assembly of H (a few eps s per
+    entry), LAPACK's error on H (O(3d eps ||H||), ||H|| <= 6 d s), the
+    product's rounding (80 eps s per unit of sum_j |r_j| <= _UNIT_ROWS, as
+    in _template_skew) and the error of the defect's own eigenvalue
+    (O(d eps ||D||), ||D|| <= 6 d s).  8 d skew more covers the
+    non-Hermitian parts of H and of the defects, which the eigensolvers
+    read from one triangle.  The margin grows with s, so a map with huge
+    entries is not certified on rounding noise.
+    """
+    skew = _template_skew(templates, d)
+    scale = np.max(np.abs(templates.reshape(len(templates), -1, d * d)), axis=(0, 2))
+    margin = 64 * (3 * d) ** 2 * np.finfo(float).eps * scale + 8 * d * skew
+    low = linalg.batch_min_eigenvalue(_ks_operators(templates, d))
+    return (low - margin >= -tol / 2) & (skew * _UNIT_ROWS <= DEFECT_HERMITICITY)
 
 
 def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.ndarray:
@@ -178,7 +245,7 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.n
     """
     defect = linalg.thin_matmul(mono, templates.view(float)).view(complex)
     defect = defect.reshape(len(mono), -1, d, d)
-    skew = _template_skew(templates, d) if skew is None else skew
+    skew = np.max(_template_skew(templates, d)) if skew is None else skew
     # the guard's threshold is at least DEFECT_HERMITICITY
     if skew * float(np.max(np.sum(np.abs(mono), axis=1))) <= DEFECT_HERMITICITY:
         return defect
@@ -258,7 +325,7 @@ def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray,
     rows = _CHUNK // p
     chunk = rows * (_CHUNK // rows)  # a whole number of blocks
     cols = np.arange(p)
-    skew = _template_skew(templates, d)
+    skew = np.max(_template_skew(templates, d))
     best = np.full(p, np.inf)
     arg = np.zeros(p, dtype=int)
     done = 0  # inputs searched so far
@@ -302,7 +369,9 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
 
     Returns one Optional[Witness] per map, in order.  Maps with the same
     output dimension and w0 treatment share each template contraction,
-    so a block of inputs costs one matrix product for all of them.
+    so a block of inputs costs one matrix product for all of them.  A
+    w0-free map that its KS operator certifies (_certified) is None
+    without sampling; when every map is, nothing is drawn.
     """
     maps = list(maps)
     if not maps:
@@ -313,6 +382,25 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
         for m, t in zip(maps, templates)
     ]
 
+    def stack(idx):
+        return np.concatenate([templates[i] for i in idx], axis=1)
+
+    # tiles of at most _TILE maps with one output dimension and w0
+    # treatment; a w0-free map that its KS operator certifies joins none
+    groups = {}
+    for i, m in enumerate(maps):
+        groups.setdefault((w0_free[i], m.out_dim), []).append(i)
+    tiles = []
+    for (free, d), idx in groups.items():
+        if free:
+            parts = [idx[lo : lo + _TILE] for lo in range(0, len(idx), _TILE)]
+            ok = np.concatenate([_certified(stack(part), d, cfg.tol) for part in parts])
+            idx = [i for i, skip in zip(idx, ok) if not skip]
+        tiles += [(free, d, idx[lo : lo + _TILE]) for lo in range(0, len(idx), _TILE)]
+    found = [None] * len(maps)
+    if not tiles:
+        return found
+
     probes = classify.ks_probe_vectors()
     probes = probes / np.linalg.norm(probes, axis=1)[:, None]
     w = np.concatenate([probes, sample_unit_sphere(cfg.n_samples, cfg.seed)])
@@ -321,21 +409,13 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
         g = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
         w0_of[False] = g.normal(size=len(w)) + 1j * g.normal(size=len(w))
 
-    groups = {}
-    for i, m in enumerate(maps):
-        groups.setdefault((w0_free[i], m.out_dim), []).append(i)
-    found = [None] * len(maps)
-    for (free, d), idx in groups.items():
+    for free, d, tile in tiles:
         w0 = w0_of[free]
-        for lo in range(0, len(idx), _TILE):
-            tile = idx[lo : lo + _TILE]
-            vals, args = _worst_defects(
-                np.concatenate([templates[i] for i in tile], axis=1), d, w0, w, cfg.tol
-            )
-            for i, v, a in zip(tile, vals, args):
-                if v < -cfg.tol:
-                    # a copy: a view of w would keep the whole draw alive
-                    found[i] = Witness(PauliElement(w0[a], w[a].copy()), float(v), "KS")
+        vals, args = _worst_defects(stack(tile), d, w0, w, cfg.tol)
+        for i, v, a in zip(tile, vals, args):
+            if v < -cfg.tol:
+                # a copy: a view of w would keep the whole draw alive
+                found[i] = Witness(PauliElement(w0[a], w[a].copy()), float(v), "KS")
     return found
 
 
@@ -347,7 +427,8 @@ def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional
     reduction justifying w0 = 0 is re-verified empirically for closure
     maps, falling back to sampled w0 otherwise.  Returns the worst
     witness (the first input attaining the smallest defect eigenvalue)
-    when it drops below -cfg.tol.
+    when it drops below -cfg.tol; None without sampling when the map's
+    KS operator puts every such defect at or above -cfg.tol/2.
     """
     return ks_violation_search_many([map_obj], cfg)[0]
 

@@ -22,3 +22,15 @@ def test_tracer_installs_and_workloads_import(monkeypatch):
         tracer.uninstall()
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"classify.classify_full", "channels.choi", "channels.evaluate_batch"} <= names
+
+
+def test_oracle_workloads_pass_their_own_checks(monkeypatch, tmp_path):
+    # round 0 of the reduced grid-verify and witness-hunt inputs, judged by
+    # the benchmark's independent checkers: a harness report or a witness
+    # that changes fails here before it fails a benchmark run
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in ("GridVerify", "WitnessHunt"):
+        workload = getattr(workloads, name)(1, True, str(tmp_path))
+        records = [(req, req.call()) for req in workload.round(0)]
+        assert workload.check(records) == ([], 0), name

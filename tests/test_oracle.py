@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import apply, random_unitary
+from conftest import apply, no_certificates, random_unitary
 from ksq import classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
@@ -332,29 +332,45 @@ def test_search_many_mixes_closures_and_dimensions(rng):
     _assert_matches_reference(maps, found, cfg)
 
 
-def test_search_many_block_bound(monkeypatch):
-    sizes = []
+def _recording_eigenvalues(monkeypatch, d):
+    """Record the number of matrices of each batch_min_eigenvalue call: (defect
+    stacks of d x d matrices, KS operator stacks of 3d x 3d ones)."""
+    defects, operators = [], []
     original = linalg.batch_min_eigenvalue
 
     def recording(stack):
-        sizes.append(int(np.prod(np.shape(stack)[:-2])))
+        n = int(np.prod(np.shape(stack)[:-2]))
+        (operators if np.shape(stack)[-1] == 3 * d else defects).append(n)
         return original(stack)
 
     monkeypatch.setattr(linalg, "batch_min_eigenvalue", recording)
+    return defects, operators
+
+
+def test_search_many_block_bound(monkeypatch):
+    sizes, operators = _recording_eigenvalues(monkeypatch, 2)
     maps = _grid_maps("phi", 3)
     cfg = SampleConfig(n_samples=10000, seed=7)
     ks_violation_search_many(maps, cfg)
     n_inputs = len(classify.ks_probe_vectors()) + cfg.n_samples
-    assert max(sizes) <= oracle._CHUNK
-    assert sum(sizes) == len(maps) * n_inputs
+    # one KS operator per map, in one stack; 11 of the 27 maps are
+    # certified by it, and only the other 16 are sampled
+    assert operators == [27]
+    certified = oracle._certified(np.concatenate([oracle._ks_template(m) for m in maps], axis=1), 2, cfg.tol)
+    assert np.count_nonzero(certified) == 11
+    assert max(sizes + operators) <= oracle._CHUNK
+    assert sum(sizes) == 16 * n_inputs
 
     # more maps than fit one block: tiles of maps, few inputs per block
     sizes.clear()
+    operators.clear()
     many = _many_diagonal_maps()
     small = SampleConfig(n_samples=3, seed=7)
     found = ks_violation_search_many(many, small)
-    assert max(sizes) <= oracle._CHUNK
-    assert sum(sizes) == len(many) * (len(classify.ks_probe_vectors()) + 3)
+    assert operators == [oracle._TILE] * 8 + [5]
+    assert max(sizes + operators) <= oracle._CHUNK
+    # 2747 of the 8197 maps are certified
+    assert sum(sizes) == (len(many) - 2747) * (len(classify.ks_probe_vectors()) + 3)
     for k in (0, 1, oracle._CHUNK // 2, len(many) - 1):
         single = ks_violation_search(many[k], small)
         assert (single is None) == (found[k] is None)
@@ -382,12 +398,15 @@ def test_monomials_once_per_chunk_of_inputs(monkeypatch):
 
     monkeypatch.setattr(oracle, "_monomials", recording)
     grid = _grid_maps("phi", 3)
-    for maps, n_samples in ((grid[:1], 10000), (grid, 10000), (_many_diagonal_maps(), 200)):
+    # (maps, samples, maps left to sample once the KS operator has certified the rest)
+    cases = ((grid[:1], 10000, 1), (grid, 10000, 16), (_many_diagonal_maps(), 200, 5450),
+             ([QubitChannel.identity()], 10000, 0))
+    for maps, n_samples, sampled in cases:
         lengths.clear()
         ks_violation_search_many(maps, SampleConfig(n_samples=n_samples, seed=7))
         n_inputs = len(classify.ks_probe_vectors()) + n_samples
-        tiles = -(-len(maps) // oracle._TILE)
-        assert max(lengths) <= oracle._CHUNK
+        tiles = -(-sampled // oracle._TILE)
+        assert max(lengths, default=0) <= oracle._CHUNK
         assert sum(lengths) == tiles * n_inputs
         assert len(lengths) == tiles * -(-n_inputs // oracle._CHUNK)
 
@@ -506,6 +525,7 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
     screened = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
     together = ks_violation_search_many(maps, cfg)
     monkeypatch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
+    monkeypatch.setattr(oracle, "_certified", no_certificates)
     reference = [(ks_violation_search(m, cfg), _eigvalsh_positivity_search(m, cfg)) for m in maps]
     assert any(ks is not None for ks, _ in reference) and any(ks is None for ks, _ in reference)
     assert any(pos is not None for _, pos in reference) and any(pos is None for _, pos in reference)
@@ -522,9 +542,11 @@ def _tlm_oracle_maps():
 
 
 def _reference_searches(maps, cfg, monkeypatch):
-    """Per-map KS searches with every defect's eigenvalue from LAPACK."""
+    """Per-map KS searches that sample every map, with every defect's
+    eigenvalue from LAPACK."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
+        patch.setattr(oracle, "_certified", no_certificates)
         return [ks_violation_search(m, cfg) for m in maps]
 
 
@@ -556,16 +578,14 @@ def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
 
 
 def test_lapack_sees_only_unscreened_defects(monkeypatch):
-    sizes = []
-    original = linalg.batch_min_eigenvalue
-
-    def recording(stack):
-        sizes.append(int(np.prod(np.shape(stack)[:-2])))
-        return original(stack)
-
-    monkeypatch.setattr(linalg, "batch_min_eigenvalue", recording)
+    sizes, operators = _recording_eigenvalues(monkeypatch, 4)
     cfg = SampleConfig(n_samples=10000, seed=7)
+    # the KS operator certifies the map: no defect is computed
     assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.3, 0.2)), cfg) is None
+    assert sizes == [] and operators == [1]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_certified", no_certificates)
+        assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.3, 0.2)), cfg) is None
     assert sizes == []
     # the first block's pilot reaches the minimum; the rest are screened at it
     assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.6, 0.55)), cfg) is not None
@@ -580,6 +600,7 @@ def test_lapack_sees_only_unscreened_defects(monkeypatch):
     stretched = TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0]))
     assert positivity_violation_search(stretched, SampleConfig(n_samples=200000, seed=7)) is not None
     assert sizes == [oracle._PILOT]
+    assert operators == [1] * 5
 
 
 def test_last_block_of_a_draw_holds_eight_inputs():
@@ -631,3 +652,123 @@ def test_template_skew_bounds_block_hermiticity(rng):
             elif not shifted:
                 # unit inputs: the entry-wise check is skipped
                 assert bound <= DEFECT_HERMITICITY
+
+
+# --- the KS-operator skip against the search that samples every map ---------
+
+
+def _search_recording_skips(maps, cfg, monkeypatch):
+    """ks_violation_search_many, and the maps that _certified skipped, in
+    order (the maps must all be w0-free and of one output dimension)."""
+    skipped = []
+    original = oracle._certified
+
+    def recording(templates, d, tol):
+        ok = original(templates, d, tol)
+        skipped.extend(ok.tolist())
+        return ok
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_certified", recording)
+        found = ks_violation_search_many(maps, cfg)
+    return found, skipped
+
+
+def _near_boundary_tlm(excess):
+    # lambda_min of the KS operator of tlm:0.5+e,0.5+e is about -6 e
+    return TensorMap.scalar(ScalarPairParams(0.5 + excess, 0.5 + excess))
+
+
+def test_skip_on_either_side_of_half_tol(monkeypatch):
+    cfg = SampleConfig(n_samples=5000, seed=13)
+    excess = (6e-10, 8.3e-10, 8.4e-10, 1e-9, 3e-9)
+    maps = [_near_boundary_tlm(e) for e in excess]
+    lows = [float(linalg.batch_min_eigenvalue(classify.ks_operator(m))) for m in maps]
+    assert lows[1] > -cfg.tol / 2 > lows[2]
+    found, skipped = _search_recording_skips(maps, cfg, monkeypatch)
+    assert skipped == [low >= -cfg.tol / 2 for low in lows] == [True, True, False, False, False]
+    for wit, ref in zip(found, _reference_searches(maps, cfg, monkeypatch), strict=True):
+        assert _same_witness(wit, ref)
+
+
+def test_skip_honours_cfg_tol(monkeypatch):
+    m = _near_boundary_tlm(1e-8)  # lambda_min of the KS operator about -6e-8
+    for tol, skip in ((1e-6, True), (1e-8, False)):
+        cfg = SampleConfig(n_samples=5000, seed=13, tol=tol)
+        found, skipped = _search_recording_skips([m], cfg, monkeypatch)
+        assert skipped == [skip]
+        assert _same_witness(found[0], _reference_searches([m], cfg, monkeypatch)[0])
+
+
+def test_skip_margin_grows_with_the_entries(monkeypatch):
+    # -tol/2 lies 3e-12 below lambda_min of the KS operator: within the
+    # margin of the map scaled by 2.5 (largest template entry 6.25), not
+    # within that of the map itself (largest entry 2)
+    for scale, skip in ((1.0, True), (2.5, False)):
+        m = QubitChannel(scale * np.diag([1.0, 0.5, -0.3]))
+        low = float(linalg.batch_min_eigenvalue(classify.ks_operator(m)))
+        cfg = SampleConfig(n_samples=2000, seed=3, tol=2 * (3e-12 - low))
+        assert low >= -cfg.tol / 2
+        found, skipped = _search_recording_skips([m], cfg, monkeypatch)
+        assert skipped == [skip]
+        assert _same_witness(found[0], _reference_searches([m], cfg, monkeypatch)[0])
+
+
+def test_no_draw_when_every_map_is_certified(monkeypatch):
+    draws = []
+    original = oracle.sample_unit_sphere
+
+    def recording(n, seed):
+        draws.append(n)
+        return original(n, seed)
+
+    monkeypatch.setattr(oracle, "sample_unit_sphere", recording)
+    cfg = SampleConfig(n_samples=4000, seed=5)
+    clean = [TensorMap.scalar(ScalarPairParams(0.3, 0.2)),
+             TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15)), QubitChannel.identity()]
+    assert ks_violation_search_many(clean, cfg) == [None] * 3
+    assert ks_violation_search(clean[0], cfg) is None
+    assert draws == []
+    found = ks_violation_search_many(clean + [QubitChannel.diagonal(DiagonalParams(1, -1, 1))], cfg)
+    assert found[:3] == [None] * 3 and found[3] is not None
+    assert draws == [cfg.n_samples]
+
+
+def test_criterion_7_certified_maps_clean_when_sampled(monkeypatch):
+    from ksq.cli import ScanSpec, scan_flags
+
+    spec = ScanSpec.for_figure("fig2", 401)
+    _, ks_suff, comps = (f.astype(bool) for f in scan_flags(spec)[:3])
+    X, Y = np.meshgrid(spec.xs(), spec.ys(), indexing="xy")
+    outside = ks_suff & ~comps
+    pick = np.random.default_rng(2016).choice(np.count_nonzero(outside), size=120, replace=False)
+    maps = [TensorMap.scalar(ScalarPairParams(float(lam), float(mu)))
+            for lam, mu in zip(X[outside][pick], Y[outside][pick])]
+    cfg = SampleConfig(n_samples=10000, seed=7, tol=1e-8)
+    found, skipped = _search_recording_skips(maps, cfg, monkeypatch)
+    certified = [m for m, ok in zip(maps, skipped) if ok][:24]
+    assert len(certified) == 24 and not any(found)
+    monkeypatch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
+    monkeypatch.setattr(oracle, "_certified", no_certificates)
+    assert ks_violation_search_many(certified, cfg) == [None] * len(certified)
+
+
+class _SlightlyNonHermitianChannel:
+    """w -> 0.3 (1 + 1e-10 i) w: KS operator far above 0, defects 1e-11 off Hermitian."""
+
+    out_dim = 2
+
+    def evaluate_batch(self, w0, w):
+        return to_matrix_batch(w0, 0.3 * (1 + 1e-10j) * np.asarray(w, dtype=complex))
+
+
+def test_skip_keeps_the_hermiticity_guard():
+    # the KS operator alone would certify the map; its template skew,
+    # beyond the guard of _defects, keeps it in the search
+    m = _SlightlyNonHermitianChannel()
+    t = oracle._ks_template(m)
+    assert float(linalg.batch_min_eigenvalue(classify.ks_operator(m))) > 0.5
+    assert oracle._template_skew(t, 2)[0] * oracle._UNIT_ROWS > DEFECT_HERMITICITY
+    assert not oracle._certified(t, 2, 1e-8)[0]
+    with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
+        ks_violation_search_many([QubitChannel.identity(), m], SampleConfig(n_samples=100, seed=1))
