@@ -297,7 +297,13 @@ def cmd_oracle(args) -> int:
     cfg = oracle.SampleConfig(n_samples=args.samples, seed=args.seed, tol=args.tol)
     wit = oracle.ks_violation_search(map_obj, cfg)
     if wit is None:
-        print(f"no violation found in {args.samples} samples")
+        if oracle.ks_certified(map_obj, cfg):
+            print(
+                "no violation: the KS operator certifies every defect "
+                "(lambda_min(H) >= -tol/2), no sample drawn"
+            )
+        else:
+            print(f"no violation found in {args.samples} samples")
         return EXIT_OK
     coords = ",".join(_fmt(v) for v in _pauli_json(wit.x))
     print(f"witness {coords} violation={_fmt(wit.violation)}")

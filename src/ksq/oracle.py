@@ -364,6 +364,21 @@ def _shift_reduction_holds(templates: np.ndarray, d: int, seed: int) -> bool:
     return bool(np.max(np.abs(base - shifted)) <= SHIFT_REDUCTION)
 
 
+def _w0_free(map_obj, template: np.ndarray, seed: int) -> bool:
+    """The KS search may fix w0 = 0 for this map."""
+    return isinstance(map_obj, (QubitChannel, TensorMap)) or _shift_reduction_holds(
+        template, map_obj.out_dim, seed
+    )
+
+
+def ks_certified(map_obj, cfg: SampleConfig = SampleConfig()) -> bool:
+    """True when ks_violation_search returns None for map_obj without
+    sampling: the map is w0-free and its KS operator puts every defect the
+    search would compute at or above -cfg.tol/2 (see _certified)."""
+    t = _ks_template(map_obj)
+    return _w0_free(map_obj, t, cfg.seed) and bool(_certified(t, map_obj.out_dim, cfg.tol)[0])
+
+
 def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     """ks_violation_search for every map of a list, on one shared draw.
 
@@ -377,10 +392,7 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     if not maps:
         return []
     templates = [_ks_template(m) for m in maps]
-    w0_free = [
-        isinstance(m, (QubitChannel, TensorMap)) or _shift_reduction_holds(t, m.out_dim, cfg.seed)
-        for m, t in zip(maps, templates)
-    ]
+    w0_free = [_w0_free(m, t, cfg.seed) for m, t in zip(maps, templates)]
 
     def stack(idx):
         return np.concatenate([templates[i] for i in idx], axis=1)

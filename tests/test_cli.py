@@ -390,8 +390,16 @@ def test_oracle_transpose_witness(capsys):
 
 
 def test_oracle_identity_clean(capsys):
+    # the KS operator certifies the identity: the note says no sample was drawn
     assert run(["oracle", "phi:1,1,1", "--samples", "1000", "--seed", "7"]) == 0
-    assert "no violation" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("no violation: the KS operator certifies") and "no sample drawn" in out
+
+
+def test_oracle_sampled_clean(capsys):
+    # KS holds but the KS operator does not certify it: the samples decide
+    assert run(["oracle", "phi:0.6,0.5,0", "--samples", "1000", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == "no violation found in 1000 samples\n"
 
 
 def test_oracle_tlm_clean():

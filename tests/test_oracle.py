@@ -522,15 +522,24 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
             convex_combination(cp_tensor, cp_tdiag, 0.4)]
     maps += [TensorMap(*rng.uniform(-0.6, 0.6, size=(2, 3, 3))) for _ in range(12)]
     cfg = SampleConfig(n_samples=3000, seed=11)
-    screened = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
-    together = ks_violation_search_many(maps, cfg)
+    # the KS operator certifies some clean maps, which then skip the screen
+    assert any(oracle.ks_certified(m, cfg) for m in maps)
+    with monkeypatch.context() as patch:
+        # every map sampled: clean maps pass the LDL screen in tiles with failing ones
+        patch.setattr(oracle, "_certified", no_certificates)
+        screened = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
+        together = ks_violation_search_many(maps, cfg)
+    skipping = [ks_violation_search(m, cfg) for m in maps]
+    skipping_together = ks_violation_search_many(maps, cfg)
     monkeypatch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
     monkeypatch.setattr(oracle, "_certified", no_certificates)
     reference = [(ks_violation_search(m, cfg), _eigvalsh_positivity_search(m, cfg)) for m in maps]
     assert any(ks is not None for ks, _ in reference) and any(ks is None for ks, _ in reference)
     assert any(pos is not None for _, pos in reference) and any(pos is None for _, pos in reference)
-    for (ks, pos), (ref_ks, ref_pos), many in zip(screened, reference, together, strict=True):
+    for (ks, pos), (ref_ks, ref_pos), many, skip, skip_many in zip(
+            screened, reference, together, skipping, skipping_together, strict=True):
         assert _same_witness(ks, ref_ks) and _same_witness(many, ref_ks)
+        assert _same_witness(skip, ref_ks) and _same_witness(skip_many, ref_ks)
         assert _same_witness(pos, ref_pos)
 
 
@@ -567,14 +576,25 @@ def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
         maps = [clean[0], wide, *_tlm_oracle_maps(), clean[1], convex_combination(wide, clean[0], 0.5)]
         cfg = SampleConfig(n_samples=6000, seed=11)
     reference = _reference_searches(maps, cfg, monkeypatch)
-    found = ks_violation_search_many(maps, cfg) if len(maps) > 1 else [ks_violation_search(maps[0], cfg)]
+
+    def search():
+        return ks_violation_search_many(maps, cfg) if len(maps) > 1 else [ks_violation_search(maps[0], cfg)]
+
+    with monkeypatch.context() as patch:
+        # every map sampled: the clean maps of the mixed tile keep its floor at -tol/2
+        patch.setattr(oracle, "_certified", no_certificates)
+        found = search()
+        alone = [ks_violation_search(m, cfg) for m in maps]
+    skipping = search()
     assert any(ref is not None for ref in reference)
-    for wit, ref in zip(found, reference, strict=True):
-        assert _same_witness(wit, ref)
+    for wit, skip, ref in zip(found, skipping, reference, strict=True):
+        assert _same_witness(wit, ref) and _same_witness(skip, ref)
     if case == "mixed-tile":
         assert reference[0] is None and reference[1] is not None
-        for m, wit in zip(maps, found):
-            assert _same_witness(wit, ks_violation_search(m, cfg))
+        # both clean maps are certified: with the skip on, they leave the tile
+        assert oracle.ks_certified(clean[0], cfg) and oracle.ks_certified(clean[1], cfg)
+        for wit, single in zip(found, alone, strict=True):
+            assert _same_witness(wit, single)
 
 
 def test_lapack_sees_only_unscreened_defects(monkeypatch):
@@ -687,6 +707,7 @@ def test_skip_on_either_side_of_half_tol(monkeypatch):
     assert lows[1] > -cfg.tol / 2 > lows[2]
     found, skipped = _search_recording_skips(maps, cfg, monkeypatch)
     assert skipped == [low >= -cfg.tol / 2 for low in lows] == [True, True, False, False, False]
+    assert [oracle.ks_certified(m, cfg) for m in maps] == skipped
     for wit, ref in zip(found, _reference_searches(maps, cfg, monkeypatch), strict=True):
         assert _same_witness(wit, ref)
 
@@ -696,7 +717,7 @@ def test_skip_honours_cfg_tol(monkeypatch):
     for tol, skip in ((1e-6, True), (1e-8, False)):
         cfg = SampleConfig(n_samples=5000, seed=13, tol=tol)
         found, skipped = _search_recording_skips([m], cfg, monkeypatch)
-        assert skipped == [skip]
+        assert skipped == [skip] and oracle.ks_certified(m, cfg) is skip
         assert _same_witness(found[0], _reference_searches([m], cfg, monkeypatch)[0])
 
 
