@@ -848,9 +848,10 @@ def classify_full(
     if ks.status is Status.INCONCLUSIVE:
         wit = oracle.ks_violation_search(m, cfg)
         if wit is None:
-            ks = TriState(
-                Status.HOLDS_SUFFICIENT, f"oracle found no violation in {n_samples} samples"
-            )
+            note = f"oracle found no violation in {n_samples} samples"
+            if oracle.ks_certified(m, cfg):
+                note = f"oracle found no violation: {oracle.CERTIFIED_NOTE}"
+            ks = TriState(Status.HOLDS_SUFFICIENT, note)
         else:
             ks = TriState(
                 Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit

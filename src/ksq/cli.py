@@ -298,10 +298,7 @@ def cmd_oracle(args) -> int:
     wit = oracle.ks_violation_search(map_obj, cfg)
     if wit is None:
         if oracle.ks_certified(map_obj, cfg):
-            print(
-                "no violation: the KS operator certifies every defect "
-                "(lambda_min(H) >= -tol/2), no sample drawn"
-            )
+            print(f"no violation: {oracle.CERTIFIED_NOTE}")
         else:
             print(f"no violation found in {args.samples} samples")
         return EXIT_OK

@@ -17,16 +17,23 @@ G_kl = B_k* B_l,
     map(x*x) - map(x)* map(x) = sum_k c_k B_k - sum_kl conj(x_k) x_l G_kl
 
 where c are the coefficients of x*x.  Each map's templates are built
-once per search, and checked against its evaluate_batch on a few seeded
-inputs (ValueError if the map is not linear).  A block of inputs is then
-contracted against all maps of one output dimension with one real matrix
-product; a block holds at most _CHUNK matrices, maps times inputs, and
-must be Hermitian (LinAlgError otherwise; a bound from the templates
-spares the entry-wise check).  The monomials of the inputs are built once
-per chunk of at most _CHUNK inputs, a whole number of blocks.  A search
-contracts at most _TILE maps at a time, and the draw's last block starts
-early rather than run short, so a block holds at least 8 inputs and every
-defect gets the bits it gets in a search of its map alone.
+once per search from its basis rows B_k, which are checked against its
+evaluate_batch on a few seeded inputs (ValueError if the map is not
+linear).  A block of inputs is then contracted against all maps of one
+output dimension with one real matrix product; a block holds at most
+_CHUNK matrices, maps times inputs, and must be Hermitian (LinAlgError
+otherwise; a bound from the templates spares the entry-wise check).  The
+monomials of the inputs are built once per chunk of at most _CHUNK
+inputs, a whole number of blocks.  A search contracts at most _TILE maps
+at a time, and the draw's last block starts early rather than run short,
+so a block holds at least 8 inputs and every defect gets the bits it gets
+in a search of its map alone.
+
+The positivity search contracts the basis rows alone: its inputs are
+x = 1 + w.s with real w, so map(x) = B_0 + sum_k w_k B_k, one real product
+of the rows (1, w) per chunk of _CHUNK inputs through the same kernel
+(_defects).  Both searches take B_k from _basis_rows, so they share the
+linearity check and the Hermiticity guard.
 
 Both searches screen each map's matrices at a floor (linalg.screen_below)
 and send only the rest to LAPACK.  The floor is -tol/2 until the map has a
@@ -134,14 +141,12 @@ _LINEARITY_SEED = 20161
 _PAIRS = np.triu_indices(4, 1)
 
 
-def _ks_template(map_obj) -> np.ndarray:
-    """(20, d*d) template rows of one map: B_k = map(s_k) on the Pauli
-    basis s_k, then G_kk, then G_kl + G_lk and i(G_kl - G_lk) for k < l,
-    where G_kl = B_k* B_l.  All are Hermitian when the map preserves
-    adjoints, so _monomials can pair them with real coefficients.
+def _basis_rows(map_obj) -> np.ndarray:
+    """(4, d, d) basis rows B_k = map(s_k) on the Pauli basis (1, s1, s2, s3).
 
-    The template path needs the map to be linear in (w0, w); it is checked
-    against evaluate_batch on four seeded inputs, ValueError otherwise.
+    Both searches contract them, so they need the map to be linear in
+    (w0, w); it is checked against evaluate_batch on four seeded inputs,
+    ValueError otherwise.
     """
     z = np.random.default_rng(_LINEARITY_SEED).normal(size=(4, 8))
     # (w0, w) rows: the basis, then the four seeded inputs
@@ -151,6 +156,16 @@ def _ks_template(map_obj) -> np.ndarray:
     dev = float(np.max(np.abs(direct - np.einsum("nk,kij->nij", x[4:], basis))))
     if dev > LINEARITY * max(1.0, float(np.max(np.abs(direct)))):
         raise ValueError(f"map is not linear in (w0, w): template deviation {dev:.3e}")
+    return basis
+
+
+def _ks_template(map_obj) -> np.ndarray:
+    """(20, d*d) template rows of one map: the basis rows B_k (_basis_rows),
+    then G_kk, then G_kl + G_lk and i(G_kl - G_lk) for k < l, where
+    G_kl = B_k* B_l.  All are Hermitian when the map preserves adjoints, so
+    _monomials can pair them with real coefficients.
+    """
+    basis = _basis_rows(map_obj)
     gram = np.conj(np.swapaxes(basis, -1, -2))[:, None] @ basis[None, :]
     k, l = _PAIRS
     upper, lower = gram[k, l], gram[l, k]
@@ -240,8 +255,10 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.n
     """KS defects (N, P, d, d) of the templated maps at the monomial rows.
 
     One real product: sum_k c_k B_k - sum_kl conj(x_k) x_l G_kl is
-    map(x*x) - map(x)* map(x).  LinAlgError when the block is not
-    Hermitian, as for a map that does not preserve adjoints.
+    map(x*x) - map(x)* map(x).  The positivity search contracts the basis
+    rows alone, with rows (1, w), to get map(1 + w.s).  LinAlgError when
+    the block is not Hermitian, as for a map that does not preserve
+    adjoints.
     """
     defect = linalg.thin_matmul(mono, templates.view(float)).view(complex)
     defect = defect.reshape(len(mono), -1, d, d)
@@ -255,7 +272,7 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.n
     for i, j in zip(*np.triu_indices(d, 1)):
         dev = max(dev, np.max(np.abs(defect[..., i, j] - np.conj(defect[..., j, i]))))
     if dev > DEFECT_HERMITICITY * max(1.0, float(np.max(np.abs(defect)))):
-        raise np.linalg.LinAlgError(f"KS defect lost Hermiticity ({dev:.3e})")
+        raise np.linalg.LinAlgError(f"contracted block lost Hermiticity ({dev:.3e})")
     return defect
 
 
@@ -371,6 +388,10 @@ def _w0_free(map_obj, template: np.ndarray, seed: int) -> bool:
     )
 
 
+# how a caller reports a None from ks_violation_search when ks_certified holds
+CERTIFIED_NOTE = "the KS operator certifies every defect (lambda_min(H) >= -tol/2), no sample drawn"
+
+
 def ks_certified(map_obj, cfg: SampleConfig = SampleConfig()) -> bool:
     """True when ks_violation_search returns None for map_obj without
     sampling: the map is w0-free and its KS operator puts every defect the
@@ -449,24 +470,36 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     """Search for a positive input mapped to a non-positive output.
 
     Inputs are x = 1 + w.s with real w in the closed unit ball (positive
-    by construction), after the six axis boundary points.
+    by construction), after the six axis boundary points.  The outputs
+    map(x) = B_0 + sum_k w_k B_k come from the basis rows (_basis_rows),
+    contracted with the rows (1, w) by one real product per chunk of
+    _CHUNK inputs; the last chunk starts early rather than run short.  The
+    guards are those of the KS search: ValueError for a map that is not
+    linear, LinAlgError for outputs that are not Hermitian.  Returns the
+    first input attaining the smallest output eigenvalue when it drops
+    below -cfg.tol.
     """
-    axes = np.concatenate([np.eye(3), -np.eye(3)])
-    w = np.concatenate([axes, sample_unit_ball(cfg.n_samples, cfg.seed)]).astype(complex)
-    ones = np.ones(len(w), dtype=complex)
+    d = map_obj.out_dim
+    basis = np.ascontiguousarray(_basis_rows(map_obj), dtype=complex).reshape(4, d * d)
+    skew = float(_template_skew(basis, d)[0])
+    # rows (1, w): the six axis points, then the ball draw
+    rows = np.ones((6 + cfg.n_samples, 4))
+    rows[:6, 1:] = np.concatenate([np.eye(3), -np.eye(3)])
+    rows[6:, 1:] = sample_unit_ball(cfg.n_samples, cfg.seed)
 
     worst_val = np.inf
     worst_idx = -1
-    for lo in range(0, len(w), _CHUNK):
-        hi = min(len(w), lo + _CHUNK)
-        out = map_obj.evaluate_batch(ones[lo:hi], w[lo:hi])
+    done = 0  # inputs searched so far
+    for c in linalg.slices(len(rows), _CHUNK):
+        out = _defects(basis, d, rows[c], skew)[done - c.start :, 0]
         eigs = _lowest_eigenvalues(out, min(-cfg.tol / 2, worst_val))
         k = int(np.argmin(eigs))
         if eigs[k] < worst_val:
             worst_val = float(eigs[k])
-            worst_idx = lo + k
+            worst_idx = done + k
+        done += len(out)
     if worst_val < -cfg.tol:
-        return Witness(PauliElement(1.0, w[worst_idx]), worst_val, "Positivity")
+        return Witness(PauliElement(1.0, rows[worst_idx, 1:]), worst_val, "Positivity")
     return None
 
 

@@ -998,6 +998,24 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
         classify_full("tmat:0.3,0,0,0,0.3,0,0,0,0.3,-0.5,0,0,0,-0.5,0,0,0,-0.5")
 
 
+def test_classify_full_note_when_the_oracle_draws_nothing(monkeypatch):
+    # lambda_min(H) about -3e-9: outside tensor_ks_slack, so the oracle
+    # decides, but inside -tol/2, so the oracle skips the map unsampled
+    draws = []
+    original = oracle.sample_unit_sphere
+
+    def recording(n, seed):
+        draws.append(n)
+        return original(n, seed)
+
+    monkeypatch.setattr(oracle, "sample_unit_sphere", recording)
+    half = ["0.5000000005", "0", "0", "0", "0.5000000005", "0", "0", "0", "0.5000000005"]
+    v = classify_full("tmat:" + ",".join(half * 2))
+    assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
+    assert v.kadison_schwarz.note == f"oracle found no violation: {oracle.CERTIFIED_NOTE}"
+    assert draws == []
+
+
 def test_check_hierarchy_rejects_sufficient_ks_without_positivity():
     def fails_by(delta):
         # a tensor positivity witness (1 + w.s, ||Aw|| + ||Cw||)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,16 @@ def test_positivity_search_finds_axis_violation():
 
 def test_positivity_identity_clean():
     assert positivity_violation_search(QubitChannel.identity(), SampleConfig(n_samples=2000)) is None
+
+
+def test_witness_hunt_demo_runs():
+    # the one demo that calls the positivity search, run as a user would
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, os.path.join(root, "demos", "oracle_witness_hunt.py")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "output eigenvalue -0.100000" in done.stdout
 
 
 def test_convex_combination_stays_clean(rng):
@@ -462,6 +476,11 @@ def test_search_guards():
         ks_violation_search_many([QubitChannel.identity(), _AffineChannel()], cfg)
     with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
         ks_violation_search(_NonHermitianChannel(), cfg)
+    # the positivity search contracts the same basis rows, under the same guards
+    with pytest.raises(ValueError, match="not linear"):
+        positivity_violation_search(_AffineChannel(), cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
+        positivity_violation_search(_NonHermitianChannel(), cfg)
 
 
 # --- the LDL^H screen against the all-eigvalsh search ----------------------
@@ -485,21 +504,32 @@ def _eigvalsh_worst_defects(templates, d, w0, w, tol):
     return best, arg
 
 
-def _eigvalsh_positivity_search(map_obj, cfg):
-    """positivity_violation_search before the screen."""
+def _ball_inputs(cfg):
+    """The positivity search's inputs w: the six axis points, then the ball draw."""
     axes = np.concatenate([np.eye(3), -np.eye(3)])
-    w = np.concatenate([axes, sample_unit_ball(cfg.n_samples, cfg.seed)]).astype(complex)
-    ones = np.ones(len(w), dtype=complex)
-    worst_val, worst_idx = np.inf, -1
-    for lo in range(0, len(w), oracle._CHUNK):
-        hi = min(len(w), lo + oracle._CHUNK)
-        eigs = linalg.batch_min_eigenvalue(map_obj.evaluate_batch(ones[lo:hi], w[lo:hi])).real
-        k = int(np.argmin(eigs))
-        if eigs[k] < worst_val:
-            worst_val, worst_idx = float(eigs[k]), lo + k
-    if worst_val < -cfg.tol:
-        return Witness(PauliElement(1.0, w[worst_idx]), worst_val, "Positivity")
+    return np.concatenate([axes, sample_unit_ball(cfg.n_samples, cfg.seed)])
+
+
+def _basis_outputs(map_obj, w):
+    """map(1 + w.s) contracted from the basis rows, as the positivity search does."""
+    d = map_obj.out_dim
+    basis = np.ascontiguousarray(oracle._basis_rows(map_obj), dtype=complex).reshape(4, d * d)
+    rows = np.concatenate([np.ones((len(w), 1)), w], axis=1)
+    return linalg.thin_matmul(rows, basis.view(float)).view(complex).reshape(-1, d, d)
+
+
+def _first_lowest(eigs, w, cfg):
+    k = int(np.argmin(eigs))
+    if eigs[k] < -cfg.tol:
+        return Witness(PauliElement(1.0, w[k]), float(eigs[k]), "Positivity")
     return None
+
+
+def _eigvalsh_positivity_search(map_obj, cfg):
+    """positivity_violation_search before the screen: every output's
+    eigenvalue from LAPACK, on the outputs the search screens."""
+    w = _ball_inputs(cfg)
+    return _first_lowest(linalg.batch_min_eigenvalue(_basis_outputs(map_obj, w)).real, w, cfg)
 
 
 def _same_witness(a, b):
@@ -509,7 +539,8 @@ def _same_witness(a, b):
             and a.x.w.tobytes() == b.x.w.tobytes() and a.violation == b.violation)
 
 
-def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
+def _screen_test_maps(rng):
+    """19 maps: tensor maps, conjugated channels and mixtures, clean and failing."""
     cp_tensor = TensorMap.scalar(ScalarPairParams(0.3, 0.2))
     wide = TensorMap.scalar(ScalarPairParams(0.6, 0.55))
     transpose = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
@@ -520,7 +551,11 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
                                    random_unitary(rng)),
             convex_combination(cp_tensor, wide, 0.5),
             convex_combination(cp_tensor, cp_tdiag, 0.4)]
-    maps += [TensorMap(*rng.uniform(-0.6, 0.6, size=(2, 3, 3))) for _ in range(12)]
+    return maps + [TensorMap(*rng.uniform(-0.6, 0.6, size=(2, 3, 3))) for _ in range(12)]
+
+
+def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
+    maps = _screen_test_maps(rng)
     cfg = SampleConfig(n_samples=3000, seed=11)
     # the KS operator certifies some clean maps, which then skip the screen
     assert any(oracle.ks_certified(m, cfg) for m in maps)
@@ -541,6 +576,41 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
         assert _same_witness(ks, ref_ks) and _same_witness(many, ref_ks)
         assert _same_witness(skip, ref_ks) and _same_witness(skip_many, ref_ks)
         assert _same_witness(pos, ref_pos)
+
+
+def test_basis_contraction_matches_evaluate_batch(rng):
+    cfg = SampleConfig(n_samples=3000, seed=11)
+    w = _ball_inputs(cfg)
+    found = []
+    for m in _screen_test_maps(rng):
+        direct = m.evaluate_batch(np.ones(len(w), dtype=complex), w.astype(complex))
+        scale = float(np.max(np.abs(oracle._basis_rows(m))))
+        assert np.max(np.abs(_basis_outputs(m, w) - direct)) <= 1e-14 * scale
+        # the unscreened search on the map's own evaluate_batch
+        ref = _first_lowest(linalg.batch_min_eigenvalue(direct).real, w, cfg)
+        wit = positivity_violation_search(m, cfg)
+        assert (wit is None) == (ref is None)
+        if wit is not None:
+            assert wit.x.w0 == ref.x.w0 and wit.x.w.tobytes() == ref.x.w.tobytes()
+            assert abs(wit.violation - ref.violation) <= 1e-14
+        found.append(wit)
+    assert any(wit is not None for wit in found) and any(wit is None for wit in found)
+
+
+def test_positivity_last_chunk_starts_early(monkeypatch):
+    # 6 probes and 8190 draws: the last chunk of 4 inputs starts early; the
+    # worst input, planted last, keeps its index and the bits of its row
+    u = np.ones(3) / np.sqrt(3)
+    m = TensorMap(0.6 * np.outer(u, u), 0.6 * np.outer(u, u))
+    draw = 0.5 * sample_unit_ball(8190, 3)
+    draw[-1] = u
+    monkeypatch.setattr(oracle, "sample_unit_ball", lambda n, seed: draw)
+    cfg = SampleConfig(n_samples=len(draw), seed=3)
+    wit = positivity_violation_search(m, cfg)
+    assert wit.x.w.tobytes() == u.astype(complex).tobytes()
+    w = np.concatenate([np.eye(3), -np.eye(3), draw])
+    ref = _first_lowest(linalg.batch_min_eigenvalue(_basis_outputs(m, w)).real, w, cfg)
+    assert _same_witness(wit, ref) and wit.violation == pytest.approx(-0.2, abs=1e-12)
 
 
 def _tlm_oracle_maps():
