@@ -9,8 +9,8 @@ Verdict statuses record logical strength, not just truth:
 * ``FAILS``            a certificate of failure exists (violated exact
   inequality, or an explicit witness);
 * ``INCONCLUSIVE``     a sufficient hypothesis was violated, which proves
-  nothing; classify_full then tries the KS operator for a tensor map, and
-  falls back to the sampling oracle.
+  nothing; classify_full then hands the map to the oracle, which tries
+  the map's KS operator before it samples.
 
 Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``): a
 qubit channel by ||T||_op <= 1, a tensor map by the minimax of
@@ -36,16 +36,15 @@ Tensor maps have no exact KS test.  One certified sufficient test is the
 KS operator of ``ks_operator``: the defect at x = w.s is a quadratic form
 in w with operator-valued entries, and where the 12x12 operator H that
 carries it is positive semidefinite, so is every defect (the converse
-fails: KS only needs H >= 0 on product vectors).  One ``eigvalsh``
-decides H >= 0, with margin lambda_min(H).  ``classify_full`` tries it
-on any tensor map whose decider said INCONCLUSIVE, before the oracle.
+fails: KS only needs H >= 0 on product vectors).  It is the oracle's
+test, and the oracle's one decision: a map whose lambda_min(H), less a
+rounding margin, is >= -tol/2 is clean without sampling
+(``oracle.ks_certified``), and ``classify_full`` asks it first for any
+map whose decider said INCONCLUSIVE, so the note gives lambda_min(H).
 The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
 The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
 which calls them directly, still counts exactly the points where the
-paper's inequalities fail as resolved by the oracle.  The oracle screens
-with the same H (one formula, ``oracle._ks_operators``): a map whose
-lambda_min(H), less a rounding margin, is >= -tol/2 is clean without
-sampling, at the cost of one small eigvalsh.
+paper's inequalities fail as resolved by the oracle.
 """
 
 from __future__ import annotations
@@ -547,22 +546,12 @@ def ks_operator(map_obj) -> np.ndarray:
     so <xi, D(w) xi> = <w (x) xi, H w (x) xi>.  For a unital map, which
     has D(x + t 1) = D(x), H >= 0 therefore proves KS (M.-D. Choi, Illinois
     J. Math. 18 (1974) 565-574), and lambda_min(D(w)) >= lambda_min(H) for
-    unit w.  oracle._ks_operators assembles it from the map's template rows.
+    unit w.  The map must be unital (ValueError otherwise);
+    oracle._ks_operators unpacks H from the map's template rows.
     """
     from .oracle import _ks_operators, _ks_template
 
     return _ks_operators(_ks_template(map_obj), map_obj.out_dim)[0]
-
-
-def ks_operator_sufficient(m, tols: Tolerances = DEFAULT) -> TriState | None:
-    """HOLDS_SUFFICIENT when lambda_min(ks_operator(m)) >= -tols.tensor_ks_slack,
-    None otherwise, so that the caller's next test runs."""
-    low = float(linalg.batch_min_eigenvalue(ks_operator(m)))
-    if low < -tols.tensor_ks_slack:
-        return None
-    return TriState(
-        Status.HOLDS_SUFFICIENT, f"KS operator lambda_min = {low:.6g} >= -{tols.tensor_ks_slack:.1g}"
-    )
 
 
 def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) -> TriState:
@@ -782,8 +771,8 @@ class Deciders:
 
     Each is called as decider(params, map, tols, cfg) and returns a
     TriState; cfg is the oracle's SampleConfig.  A KS verdict of
-    INCONCLUSIVE sends the agreement harness to the sampling oracle, and
-    classify_full to the KS operator of a tensor map, then the oracle.
+    INCONCLUSIVE sends the agreement harness and classify_full to the
+    oracle.
     """
 
     positive: Callable
@@ -833,7 +822,8 @@ def classify_full(
     Accepts the flat text form (``phi:...``) or a pre-parsed
     (kind, params) pair.  Each level uses the strongest test available
     for the family (see DECIDERS).  Where a KS decider is INCONCLUSIVE,
-    the KS operator of a tensor map, then the sampling oracle decide.
+    the oracle decides: the map's KS operator when it certifies every
+    defect, the sampled search otherwise.
     """
     from . import oracle
 
@@ -843,19 +833,18 @@ def classify_full(
     cfg = oracle.SampleConfig(n_samples=n_samples, seed=seed, tol=tols.ks_violation)
     pos = deciders.positive(params, m, tols, cfg)
     ks = deciders.ks(params, m, tols, cfg)
-    if ks.status is Status.INCONCLUSIVE and isinstance(m, TensorMap):
-        ks = ks_operator_sufficient(m, tols) or ks
     if ks.status is Status.INCONCLUSIVE:
-        wit = oracle.ks_violation_search(m, cfg)
-        if wit is None:
-            note = f"oracle found no violation in {n_samples} samples"
-            if oracle.ks_certified(m, cfg):
-                note = f"oracle found no violation: {oracle.CERTIFIED_NOTE}"
-            ks = TriState(Status.HOLDS_SUFFICIENT, note)
-        else:
+        low = oracle.ks_certified(m, cfg)
+        wit = None if low is not None else oracle.ks_violation_search(m, cfg)
+        if wit is not None:
             ks = TriState(
                 Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit
             )
+        elif low is not None:
+            note = oracle.CERTIFIED_NOTE.format(low)
+            ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation: {note}")
+        else:
+            ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation in {n_samples} samples")
     cp = deciders.cp(params, m, tols, cfg)
     verdict = Verdict(positive=pos, kadison_schwarz=ks, completely_positive=cp)
     _check_hierarchy(verdict, tols)

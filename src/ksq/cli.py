@@ -9,13 +9,15 @@ Grammar:
 
 Exit codes: 0 ok/clean, 1 witness found, 2 parse/usage error, 3 I/O
 error, 4 verification failure.  The environment variable KSQ_SEED
-overrides the default seed; an explicit --seed flag wins over it.
+overrides the default seed; an explicit --seed flag wins over it.  A
+seed is a non-negative integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -41,13 +43,17 @@ def _fmt(x: float) -> str:
 
 def _default_seed() -> int:
     env = os.environ.get("KSQ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: KSQ_SEED must be an integer, got {env!r}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE) from None
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(env)
+    except ValueError:
+        print(f"error: KSQ_SEED must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
+    if seed < 0:
+        print(f"error: KSQ_SEED must be at least 0, got {seed}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +301,13 @@ def cmd_oracle(args) -> int:
         return EXIT_PARSE
     map_obj = map_for_descriptor(kind, params)
     cfg = oracle.SampleConfig(n_samples=args.samples, seed=args.seed, tol=args.tol)
+    low = oracle.ks_certified(map_obj, cfg)
+    if low is not None:
+        print(f"no violation: {oracle.CERTIFIED_NOTE.format(low)}")
+        return EXIT_OK
     wit = oracle.ks_violation_search(map_obj, cfg)
     if wit is None:
-        if oracle.ks_certified(map_obj, cfg):
-            print(f"no violation: {oracle.CERTIFIED_NOTE}")
-        else:
-            print(f"no violation found in {args.samples} samples")
+        print(f"no violation found in {args.samples} samples")
         return EXIT_OK
     coords = ",".join(_fmt(v) for v in _pauli_json(wit.x))
     print(f"witness {coords} violation={_fmt(wit.violation)}")
@@ -336,10 +343,10 @@ def _int_at_least(minimum: int):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a float greater than zero."""
+    """argparse type: a finite float greater than zero."""
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("descriptor", help="phi:a,b,c | tdiag:a,b,c | tlm:a,b | tmat:<18 reals>")
     p.add_argument("--format", choices=("table", "json-lines"), default="table")
     p.add_argument("--samples", type=_int_at_least(1), default=20000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="emit region-scan data for the figures")
@@ -365,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None)
     p.add_argument("--verify-choi", type=_int_at_least(0), default=0, metavar="K")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("oracle", help="brute-force witness search")
     p.add_argument("descriptor")
     p.add_argument("--samples", type=_int_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT.ks_violation)
     p.set_defaults(func=cmd_oracle)
 
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--grid", type=_int_at_least(1), default=11)
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.set_defaults(func=cmd_harness)
 
     return parser

@@ -10,30 +10,35 @@ Sampling is split into seed-derived chunks (np.random.SeedSequence
 spawning), so the merged worst witness is deterministic for a fixed seed
 regardless of how chunks are scheduled.
 
-The KS defect is a template contraction.  Every map in scope is linear in
-(w0, w), so with B_k = map(s_k) on the Pauli basis (1, s1, s2, s3) and
-G_kl = B_k* B_l,
+The KS search takes unital maps only, as every map in scope is.  For a
+linear, adjoint-preserving, unital map the defect does not change under
+x -> x + t*1, so it samples x = w.s alone.  With B_k = map(s_k) on the
+Pauli basis (1, s1, s2, s3), the defect there is
 
-    map(x*x) - map(x)* map(x) = sum_k c_k B_k - sum_kl conj(x_k) x_l G_kl
+    map(x*x) - map(x)* map(x) = sum_kl conj(w_k) w_l H_kl,
+    H_kl = delta_kl B_0 + i eps_klm B_m - B_k* B_l,
 
-where c are the coefficients of x*x.  Each map's templates are built
+the blocks of the map's KS operator H (M.-D. Choi, Illinois J. Math. 18
+(1974) 565-574).  Each map's template is H's nine Hermitian rows, built
 once per search from its basis rows B_k, which are checked against its
 evaluate_batch on a few seeded inputs (ValueError if the map is not
-linear).  A block of inputs is then contracted against all maps of one
-output dimension with one real matrix product; a block holds at most
-_CHUNK matrices, maps times inputs, and must be Hermitian (LinAlgError
-otherwise; a bound from the templates spares the entry-wise check).  The
-monomials of the inputs are built once per chunk of at most _CHUNK
-inputs, a whole number of blocks.  A search contracts at most _TILE maps
-at a time, and the draw's last block starts early rather than run short,
-so a block holds at least 8 inputs and every defect gets the bits it gets
-in a search of its map alone.
+linear, or not unital).  A block of inputs is then contracted against
+all maps of one output dimension with one real matrix product of nine
+monomials per input; a block holds at most _CHUNK matrices, maps times
+inputs, and must be Hermitian (LinAlgError otherwise; a bound from the
+templates spares the entry-wise check).  The monomials of the inputs are
+built once per chunk of at most _CHUNK inputs, a whole number of blocks.
+A search contracts at most _TILE maps at a time, and the draw's last
+block starts early rather than run short, so a block holds at least 8
+inputs and every defect gets the bits it gets in a search of its map
+alone.
 
 The positivity search contracts the basis rows alone: its inputs are
 x = 1 + w.s with real w, so map(x) = B_0 + sum_k w_k B_k, one real product
 of the rows (1, w) per chunk of _CHUNK inputs through the same kernel
 (_defects).  Both searches take B_k from _basis_rows, so they share the
-linearity check and the Hermiticity guard.
+linearity check and the Hermiticity guard; the positivity search does
+not need a unital map.
 
 Both searches screen each map's matrices at a floor (linalg.screen_below)
 and send only the rest to LAPACK.  The floor is -tol/2 until the map has a
@@ -44,17 +49,16 @@ earlier input of the same map, so it is neither the first input attaining
 the map's minimum below -tol nor tied with it: the witnesses are those of
 an unscreened search.
 
-Before any sampling, the KS search screens each w0-free map with its KS
-operator H (_ks_operators, one eigvalsh per tile of maps), which bounds
-every defect it would compute at once: lambda_min(D(w)) >= lambda_min(H)
-for unit w, with no unitality needed at w0 = 0.  A map whose computed
-lambda_min(H), less a rounding margin scaled by its largest template
-entry (see _certified), is >= -tol/2, and whose template skew is within
-the Hermiticity guard, gets None and joins no tile; when no map is left,
-the sphere is not drawn.  Every defect eigenvalue the search would
-compute for it lies at or above -tol/2, so an unscreened search returns
-None too, and the other maps' witnesses do not depend on their tile.
-Maps with sampled w0 and the positivity search are not screened.
+Before any sampling, the KS search screens each map with its KS operator
+H, unpacked from the same rows (_ks_operators, one eigvalsh per tile of
+maps): lambda_min(D(w)) >= lambda_min(H) for unit w.  A map whose
+computed lambda_min(H), less a rounding margin scaled by its largest
+template entry (see _certified), is >= -tol/2, and whose template skew
+is within the Hermiticity guard, gets None and joins no tile; when no
+map is left, the sphere is not drawn.  Every defect eigenvalue the search
+would compute for it lies at or above -tol/2, so an unscreened search
+returns None too, and the other maps' witnesses do not depend on their
+tile.  The positivity search is not screened.
 """
 
 from __future__ import annotations
@@ -65,9 +69,8 @@ from typing import Optional
 import numpy as np
 
 from . import channels, classify, linalg
-from .channels import QubitChannel, TensorMap
-from .pauli import PauliElement, star_square_coeffs
-from .tolerances import DEFAULT, DEFECT_HERMITICITY, LINEARITY, SHIFT_REDUCTION
+from .pauli import PauliElement
+from .tolerances import DEFAULT, DEFECT_HERMITICITY, LINEARITY, UNITALITY
 
 _CHUNK = 8192
 # maps per tile: a block then holds at least 8 inputs, and linalg.thin_matmul
@@ -85,8 +88,9 @@ _WITNESS_FLOOR = 1e-6
 class SampleConfig:
     """Budget and threshold of a brute-force search.
 
-    n_samples random inputs drawn from seed, after the deterministic
-    probe set; a defect eigenvalue below -tol is a witness.
+    n_samples random inputs drawn from seed (a non-negative integer),
+    after the deterministic probe set; a defect eigenvalue below -tol, a
+    positive finite float, is a witness.
     """
 
     n_samples: int = 10000
@@ -96,8 +100,10 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,14 @@ def sample_unit_ball(n: int, seed: int) -> np.ndarray:
 
 # seed of the inputs on which each map's template is checked against evaluate_batch
 _LINEARITY_SEED = 20161
-_PAIRS = np.triu_indices(4, 1)
+# the pairs k < l of the w coordinates
+_PAIRS = np.triu_indices(3, 1)
+# Levi-Civita symbol: s_k s_l = delta_kl 1 + i eps_klm s_m
+_EPS = np.zeros((3, 3, 3))
+_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+# max_n sum_j |r_nj| over _monomials rows at |w| = 1 is 1 + sqrt(2)
+_UNIT_ROWS = 6.0
 
 
 def _basis_rows(map_obj) -> np.ndarray:
@@ -160,102 +173,98 @@ def _basis_rows(map_obj) -> np.ndarray:
 
 
 def _ks_template(map_obj) -> np.ndarray:
-    """(20, d*d) template rows of one map: the basis rows B_k (_basis_rows),
-    then G_kk, then G_kl + G_lk and i(G_kl - G_lk) for k < l, where
-    G_kl = B_k* B_l.  All are Hermitian when the map preserves adjoints, so
-    _monomials can pair them with real coefficients.
+    """(9, d*d) rows of one map's KS operator: H_kk, then H_kl + H_lk and
+    i(H_kl - H_lk) for k < l, where
+
+        H_kl = delta_kl B_0 + i eps_klm B_m - B_k* B_l
+
+    and B_k are the basis rows (_basis_rows).  All are Hermitian when the
+    map preserves adjoints (H_kl* = H_lk), so _monomials can pair them with
+    real coefficients.  ValueError when max |B_0 - 1| exceeds UNITALITY:
+    the KS search fixes w0 = 0, which leaves the defect of a unital map
+    unchanged and that of any other map not.
     """
     basis = _basis_rows(map_obj)
-    gram = np.conj(np.swapaxes(basis, -1, -2))[:, None] @ basis[None, :]
+    dev = float(np.max(np.abs(basis[0] - np.eye(len(basis[0])))))
+    if dev > UNITALITY:
+        raise ValueError(f"map is not unital: max |map(1) - 1| = {dev:.3e}")
+    b = basis[1:]
+    ops = np.eye(3)[:, :, None, None] * basis[0] + 1j * np.einsum("klm,mij->klij", _EPS, b)
+    ops -= np.conj(np.swapaxes(b, -1, -2))[:, None] @ b[None, :]
     k, l = _PAIRS
-    upper, lower = gram[k, l], gram[l, k]
-    rows = [basis, gram[range(4), range(4)], upper + lower, 1j * (upper - lower)]
+    upper, lower = ops[k, l], ops[l, k]
+    rows = [ops[range(3), range(3)], upper + lower, 1j * (upper - lower)]
     return np.concatenate([r.reshape(len(r), -1) for r in rows])
 
 
-def _monomials(w0, w) -> np.ndarray:
-    """(N, 20) real rows matching the template rows, for x = w0*1 + w.s.
-
-    x*x = c.(1, s) has real c since x*x is self-adjoint; with
-    q_kl = conj(x_k) x_l the rows are c_k, -q_kk, then -Re q_kl and
-    -Im q_kl for k < l.
-    """
-    c0, cvec = star_square_coeffs(w0, w)
-    x = np.concatenate([np.asarray(w0, dtype=complex)[:, None], w], axis=1)
-    q = np.conj(x[:, _PAIRS[0]]) * x[:, _PAIRS[1]]
-    cols = [c0.real[:, None], cvec.real, -np.abs(x) ** 2, -q.real, -q.imag]
-    return np.concatenate(cols, axis=1)
+def _monomials(w) -> np.ndarray:
+    """(N, 9) real rows matching the template rows at x = w.s: |w_k|^2,
+    then Re q_kl and Im q_kl for k < l, with q_kl = conj(w_k) w_l, so that
+    the product is D(w) = sum_kl conj(w_k) w_l H_kl."""
+    q = np.conj(w[:, _PAIRS[0]]) * w[:, _PAIRS[1]]
+    return np.concatenate([np.abs(w) ** 2, q.real, q.imag], axis=1)
 
 
 def _template_skew(templates: np.ndarray, d: int) -> np.ndarray:
     """One bound per map: |D - D*| <= skew * max_n sum_j |r_nj| entry by
     entry for the computed D = sum_j r_j T_j: max |T_j - T_j*| plus the
-    product's rounding, 80 eps >= 2 sqrt(2) gamma_20 per unit of max |T_j|."""
+    product's rounding, 80 eps >= 2 sqrt(2) gamma_9 per unit of max |T_j|
+    for the at most 9 rows of either search."""
     t = templates.reshape(len(templates), -1, d, d)
     rounding = 80 * np.finfo(float).eps * np.max(np.abs(t), axis=(0, 2, 3))
     return np.max(linalg.hermitian_deviation(t), axis=0) + rounding
 
 
-# Levi-Civita symbol: s_k s_l = delta_kl 1 + i eps_klm s_m
-_EPS = np.zeros((3, 3, 3))
-_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-_EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-# max_n sum_j |r_nj| over _monomials rows at w0 = 0, |w| = 1: 4 + sqrt(2)
-_UNIT_ROWS = 6.0
-
-
 def _ks_operators(templates: np.ndarray, d: int) -> np.ndarray:
     """KS operators (P, 3d, 3d) of the P maps whose template rows are
-    concatenated in templates (20, P*d*d), as in a tile of _worst_defects.
+    concatenated in templates (9, P*d*d), as in a tile of _worst_defects.
 
-    H = sum_kl |k><l| (x) H_kl with H_kl = delta_kl B_0 + i eps_klm B_m - G_kl,
-    G_kl read off the template rows, so that the defect contraction at
-    x = w.s is exactly D(w) = sum_kl conj(w_k) w_l H_kl (see
-    classify.ks_operator).
+    H = sum_kl |k><l| (x) H_kl, unpacked from the rows: H_kk as they are,
+    H_kl and H_lk as half the sum and difference of H_kl + H_lk and
+    -i * i(H_kl - H_lk).  Its blocks are the ones the search contracts,
+    D(w) = sum_kl conj(w_k) w_l H_kl (see classify.ks_operator).
     """
     rows = templates.reshape(len(templates), -1, d, d)
-    basis, sym, skew = rows[:4], rows[8:14], rows[14:]
-    # rows 8.. hold G_kl + G_lk, then i(G_kl - G_lk), for the pairs k < l
-    gram = np.zeros((4, 4) + rows.shape[1:], dtype=complex)
-    gram[range(4), range(4)] = rows[4:8]
+    sym, skew = rows[3:6], rows[6:]
+    ops = np.zeros((3, 3) + rows.shape[1:], dtype=complex)
+    ops[range(3), range(3)] = rows[:3]
     k, l = _PAIRS
-    gram[k, l] = 0.5 * (sym - 1j * skew)
-    gram[l, k] = 0.5 * (sym + 1j * skew)
-    eye = np.eye(3)[:, :, None, None, None]
-    blocks = eye * basis[0] + 1j * np.einsum("klm,mpij->klpij", _EPS, basis[1:])
-    blocks -= gram[1:, 1:]
-    return blocks.transpose(2, 0, 3, 1, 4).reshape(-1, 3 * d, 3 * d)
+    ops[k, l] = 0.5 * (sym - 1j * skew)
+    ops[l, k] = 0.5 * (sym + 1j * skew)
+    return ops.transpose(2, 0, 3, 1, 4).reshape(-1, 3 * d, 3 * d)
 
 
-def _certified(templates: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """One flag per map of a tile: its KS operator puts every defect the
-    search would compute at w0 = 0 and unit w at or above -tol/2.
+def _certified(templates: np.ndarray, d: int, tol: float):
+    """(flags, lambda_min(H)) per map of a tile: a flag says that its KS
+    operator puts every defect the search would compute at unit w at or
+    above -tol/2.
 
-    lambda_min(D(w)) >= lambda_min(H) for unit w, with no unitality needed
-    at w0 = 0.  A map is certified when lambda_min(H), as LAPACK computes
-    it, less a margin, is >= -tol/2, and its template skew is within the
-    guard of _defects.  With s the map's largest template entry, the
-    margin is 64 (3d)^2 eps s: it covers the assembly of H (a few eps s per
-    entry), LAPACK's error on H (O(3d eps ||H||), ||H|| <= 6 d s), the
-    product's rounding (80 eps s per unit of sum_j |r_j| <= _UNIT_ROWS, as
-    in _template_skew) and the error of the defect's own eigenvalue
-    (O(d eps ||D||), ||D|| <= 6 d s).  8 d skew more covers the
-    non-Hermitian parts of H and of the defects, which the eigensolvers
-    read from one triangle.  The margin grows with s, so a map with huge
-    entries is not certified on rounding noise.
+    lambda_min(D(w)) >= lambda_min(H) for unit w, as D(w) is H's
+    quadratic form on w (x) xi.  A map is certified when lambda_min(H), as
+    LAPACK computes it, less a margin, is >= -tol/2, and its template skew
+    is within the guard of _defects.  With s the map's largest template
+    entry, every entry of H is at most s and ||H|| <= 3d s.  The margin
+    64 (3d)^2 eps s covers the assembly of H (a few eps s per entry),
+    LAPACK's error on H (O(3d eps ||H||)), the product's rounding (80 eps s
+    per entry and unit of sum_j |r_j| <= 1 + sqrt(2) < _UNIT_ROWS, as in
+    _template_skew: under 480 d eps s in norm) and the error of the defect's
+    own eigenvalue (O(d eps ||D||), ||D|| <= (1 + sqrt(2)) d s).  8 d skew
+    more covers the non-Hermitian parts of H and of the defects, which the
+    eigensolvers read from one triangle.  The margin grows with s, so a
+    map with huge entries is not certified on rounding noise.
     """
     skew = _template_skew(templates, d)
     scale = np.max(np.abs(templates.reshape(len(templates), -1, d * d)), axis=(0, 2))
     margin = 64 * (3 * d) ** 2 * np.finfo(float).eps * scale + 8 * d * skew
     low = linalg.batch_min_eigenvalue(_ks_operators(templates, d))
-    return (low - margin >= -tol / 2) & (skew * _UNIT_ROWS <= DEFECT_HERMITICITY)
+    return (low - margin >= -tol / 2) & (skew * _UNIT_ROWS <= DEFECT_HERMITICITY), low
 
 
 def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.ndarray:
     """KS defects (N, P, d, d) of the templated maps at the monomial rows.
 
-    One real product: sum_k c_k B_k - sum_kl conj(x_k) x_l G_kl is
-    map(x*x) - map(x)* map(x).  The positivity search contracts the basis
+    One real product: sum_kl conj(w_k) w_l H_kl is map(x*x) - map(x)* map(x)
+    at x = w.s (_ks_template).  The positivity search contracts the basis
     rows alone, with rows (1, w), to get map(1 + w.s).  LinAlgError when
     the block is not Hermitian, as for a map that does not preserve
     adjoints.
@@ -276,20 +285,19 @@ def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.n
     return defect
 
 
-def ks_defects(maps, w0, w) -> np.ndarray:
-    """KS defects map(x*x) - map(x)* map(x) at x = w0[n]*1 + w[n].s.
+def ks_defects(maps, w) -> np.ndarray:
+    """KS defects map(x*x) - map(x)* map(x) at x = w[n].s, the same at
+    x = w0*1 + w[n].s for any w0.
 
-    maps share one output dimension d; w0 is (N,) or a scalar, w is
-    (N, 3).  Returns the whole (N, len(maps), d, d) stack, so callers
-    pick N and the number of maps to fit memory.
+    maps are unital (ValueError otherwise) and share one output dimension
+    d; w is (N, 3).  Returns the whole (N, len(maps), d, d) stack, so
+    callers pick N and the number of maps to fit memory.
     """
     dims = {m.out_dim for m in maps}
     if len(dims) != 1:
         raise ValueError(f"maps must share one output dimension, got {sorted(dims)}")
     templates = np.concatenate([_ks_template(m) for m in maps], axis=1)
-    w = np.asarray(w, dtype=complex)
-    w0 = np.broadcast_to(np.asarray(w0, dtype=complex), w.shape[:1])
-    return _defects(templates, dims.pop(), _monomials(w0, w))
+    return _defects(templates, dims.pop(), _monomials(np.asarray(w, dtype=complex)))
 
 
 def _lowest_eigenvalues(stack: np.ndarray, floor) -> np.ndarray:
@@ -322,7 +330,7 @@ def _lowest_eigenvalues(stack: np.ndarray, floor) -> np.ndarray:
     return out
 
 
-def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray, tol: float):
+def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float):
     """Smallest defect eigenvalue of each templated map over all inputs.
 
     Returns (values, first input index attaining each); +inf for a map
@@ -347,7 +355,7 @@ def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray,
     arg = np.zeros(p, dtype=int)
     done = 0  # inputs searched so far
     for c in linalg.slices(len(w), chunk):
-        mono = _monomials(w0[c], w[c])
+        mono = _monomials(w[c])
         for b in linalg.slices(len(mono), rows):
             block = mono[b]
             seen = done - c.start - b.start  # a last block that starts early
@@ -363,73 +371,47 @@ def _worst_defects(templates: np.ndarray, d: int, w0: np.ndarray, w: np.ndarray,
     return best, arg
 
 
-def _shift_reduction_holds(templates: np.ndarray, d: int, seed: int) -> bool:
-    """Check D(x + t*1) == D(x) on a few random inputs.
-
-    The w0 = 0 restriction of the sampler is exact for the families in
-    scope; generic closures are re-verified here before it is relied on.
-    """
-    g = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = g.normal(size=(4, 6))
-    w = z[:, :3] + 1j * z[:, 3:]
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    t = (g.normal(size=4) + 1j * g.normal(size=4)).astype(complex)
-    base, shifted = (
-        linalg.batch_min_eigenvalue(_defects(templates, d, _monomials(w0, w))).real
-        for w0 in (np.zeros(4, dtype=complex), t)
-    )
-    return bool(np.max(np.abs(base - shifted)) <= SHIFT_REDUCTION)
+# how a caller reports a map that ks_certified certifies, formatted with lambda_min(H)
+CERTIFIED_NOTE = (
+    "the KS operator certifies every defect (lambda_min(H) = {:.6g} >= -tol/2), no sample drawn"
+)
 
 
-def _w0_free(map_obj, template: np.ndarray, seed: int) -> bool:
-    """The KS search may fix w0 = 0 for this map."""
-    return isinstance(map_obj, (QubitChannel, TensorMap)) or _shift_reduction_holds(
-        template, map_obj.out_dim, seed
-    )
-
-
-# how a caller reports a None from ks_violation_search when ks_certified holds
-CERTIFIED_NOTE = "the KS operator certifies every defect (lambda_min(H) >= -tol/2), no sample drawn"
-
-
-def ks_certified(map_obj, cfg: SampleConfig = SampleConfig()) -> bool:
-    """True when ks_violation_search returns None for map_obj without
-    sampling: the map is w0-free and its KS operator puts every defect the
-    search would compute at or above -cfg.tol/2 (see _certified)."""
-    t = _ks_template(map_obj)
-    return _w0_free(map_obj, t, cfg.seed) and bool(_certified(t, map_obj.out_dim, cfg.tol)[0])
+def ks_certified(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[float]:
+    """lambda_min of the map's KS operator H when ks_violation_search
+    returns None for map_obj without sampling, None otherwise: H puts
+    every defect the search would compute at or above -cfg.tol/2 (see
+    _certified).  The value may be 0, so test it with `is not None`."""
+    ok, low = _certified(_ks_template(map_obj), map_obj.out_dim, cfg.tol)
+    return float(low[0]) if ok[0] else None
 
 
 def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     """ks_violation_search for every map of a list, on one shared draw.
 
     Returns one Optional[Witness] per map, in order.  Maps with the same
-    output dimension and w0 treatment share each template contraction,
-    so a block of inputs costs one matrix product for all of them.  A
-    w0-free map that its KS operator certifies (_certified) is None
-    without sampling; when every map is, nothing is drawn.
+    output dimension share each template contraction, so a block of
+    inputs costs one matrix product for all of them.  A map that its KS
+    operator certifies (_certified) is None without sampling; when every
+    map is, nothing is drawn.
     """
     maps = list(maps)
-    if not maps:
-        return []
     templates = [_ks_template(m) for m in maps]
-    w0_free = [_w0_free(m, t, cfg.seed) for m, t in zip(maps, templates)]
 
     def stack(idx):
         return np.concatenate([templates[i] for i in idx], axis=1)
 
-    # tiles of at most _TILE maps with one output dimension and w0
-    # treatment; a w0-free map that its KS operator certifies joins none
+    # tiles of at most _TILE maps with one output dimension; a map that
+    # its KS operator certifies joins none
     groups = {}
     for i, m in enumerate(maps):
-        groups.setdefault((w0_free[i], m.out_dim), []).append(i)
+        groups.setdefault(m.out_dim, []).append(i)
     tiles = []
-    for (free, d), idx in groups.items():
-        if free:
-            parts = [idx[lo : lo + _TILE] for lo in range(0, len(idx), _TILE)]
-            ok = np.concatenate([_certified(stack(part), d, cfg.tol) for part in parts])
-            idx = [i for i, skip in zip(idx, ok) if not skip]
-        tiles += [(free, d, idx[lo : lo + _TILE]) for lo in range(0, len(idx), _TILE)]
+    for d, idx in groups.items():
+        parts = [idx[lo : lo + _TILE] for lo in range(0, len(idx), _TILE)]
+        ok = np.concatenate([_certified(stack(part), d, cfg.tol)[0] for part in parts])
+        idx = [i for i, skip in zip(idx, ok) if not skip]
+        tiles += [(d, idx[lo : lo + _TILE]) for lo in range(0, len(idx), _TILE)]
     found = [None] * len(maps)
     if not tiles:
         return found
@@ -437,31 +419,24 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     probes = classify.ks_probe_vectors()
     probes = probes / np.linalg.norm(probes, axis=1)[:, None]
     w = np.concatenate([probes, sample_unit_sphere(cfg.n_samples, cfg.seed)])
-    w0_of = {True: np.zeros(len(w), dtype=complex)}
-    if not all(w0_free):
-        g = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-        w0_of[False] = g.normal(size=len(w)) + 1j * g.normal(size=len(w))
-
-    for free, d, tile in tiles:
-        w0 = w0_of[free]
-        vals, args = _worst_defects(stack(tile), d, w0, w, cfg.tol)
+    for d, tile in tiles:
+        vals, args = _worst_defects(stack(tile), d, w, cfg.tol)
         for i, v, a in zip(tile, vals, args):
             if v < -cfg.tol:
                 # a copy: a view of w would keep the whole draw alive
-                found[i] = Witness(PauliElement(w0[a], w[a].copy()), float(v), "KS")
+                found[i] = Witness(PauliElement(0j, w[a].copy()), float(v), "KS")
     return found
 
 
 def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[Witness]:
     """Search for an input violating map(x)* map(x) <= map(x*x).
 
-    Evaluates the defect on the deterministic probe set and
-    cfg.n_samples random unit vectors with w0 = 0; the translation
-    reduction justifying w0 = 0 is re-verified empirically for closure
-    maps, falling back to sampled w0 otherwise.  Returns the worst
-    witness (the first input attaining the smallest defect eigenvalue)
-    when it drops below -cfg.tol; None without sampling when the map's
-    KS operator puts every such defect at or above -cfg.tol/2.
+    The map must be unital (ValueError otherwise), so the defect is
+    evaluated at w0 = 0 only: on the deterministic probe set and
+    cfg.n_samples random unit vectors.  Returns the worst witness (the
+    first input attaining the smallest defect eigenvalue) when it drops
+    below -cfg.tol; None without sampling when the map's KS operator puts
+    every such defect at or above -cfg.tol/2.
     """
     return ks_violation_search_many([map_obj], cfg)[0]
 

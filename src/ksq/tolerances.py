@@ -21,10 +21,9 @@ class Tolerances:
                   as non-negative (boundary maps classify as inside)
     ks_violation: defect eigenvalue below -ks_violation counts as a witness
     tensor_ks_slack: amount by which a probed input may miss the gain or
-                  the bracket inequality of the sampled tensor KS
-                  sufficient test before the test reports INCONCLUSIVE,
-                  and by which lambda_min of the KS operator may fall
-                  below 0 while the operator still proves KS
+                  the bracket inequality of ks_tensor_sufficient, the
+                  sampled tensor KS sufficient test, before it reports
+                  INCONCLUSIVE
     """
 
     hermiticity: float = 1e-10
@@ -47,9 +46,9 @@ PAIR_GAP = 1e-8
 # relative max-entry deviation |D - D*| accepted in a block of the
 # oracle's KS defects D
 DEFECT_HERMITICITY = 1e-12
-# largest change of the smallest defect eigenvalue under x -> x + t*1 for
-# which the oracle samples only w0 = 0
-SHIFT_REDUCTION = 1e-8
+# max-entry deviation |map(1) - 1| accepted as unital by the KS oracle;
+# conjugate_by_unitaries accepts U with |U U* - 1| up to UNITARITY
+UNITALITY = 1e-8
 # relative max-entry deviation accepted between a map's evaluate_batch and
 # its Pauli-basis template contraction
 LINEARITY = 1e-12

@@ -33,7 +33,8 @@ def coeffs_close(x, y, tol: float = 1e-12) -> bool:
     return abs(x.w0 - y.w0) <= tol and bool(np.all(np.abs(x.w - y.w) <= tol))
 
 
-def no_certificates(templates, d, tol) -> np.ndarray:
+def no_certificates(templates, d, tol):
     """Stands in for oracle._certified: no map is certified by its KS
     operator, so every map is sampled in full."""
-    return np.zeros(templates.shape[1] // (d * d), dtype=bool)
+    p = templates.shape[1] // (d * d)
+    return np.zeros(p, dtype=bool), np.full(p, np.nan)

@@ -669,7 +669,7 @@ def test_ks_operator_quadratic_form_is_the_defect(rng):
         assert H.shape == (3 * d, 3 * d)
         assert linalg.hermitian_deviation(H) < 1e-15
         form = np.einsum("nk,kilj,nl->nij", np.conj(w), H.reshape(3, d, 3, d), w)
-        assert np.max(np.abs(form - oracle.ks_defects([m], 0.0, w)[:, 0])) < 1e-13
+        assert np.max(np.abs(form - oracle.ks_defects([m], w)[:, 0])) < 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -694,7 +694,7 @@ def test_paper_tdiag_test_implies_ks_operator_positive(tdiag_grid):
 def test_paper_tdiag_test_implies_ks_operator_positive_anywhere(lams):
     p = DiagonalTensorParams(*lams)
     assume(ks_tensor_diag_sufficient(p).holds)
-    assert classify.ks_operator_sufficient(TensorMap.diagonal(p)) is not None
+    assert _ks_operator_min(TensorMap.diagonal(p)) >= -DEFAULT.tensor_ks_slack
 
 
 def test_ks_operator_positive_leaves_the_oracle_clean_on_tdiag_grid(tdiag_grid, monkeypatch):
@@ -707,21 +707,14 @@ def test_ks_operator_positive_leaves_the_oracle_clean_on_tdiag_grid(tdiag_grid, 
 
 
 def test_ks_operator_positive_leaves_the_oracle_clean_on_random_tmat(rng, monkeypatch):
-    monkeypatch.setattr(oracle, "_certified", no_certificates)
     maps = [TensorMap(*rng.uniform(-0.3, 0.3, size=(2, 3, 3))) for _ in range(200)]
-    positive = [classify.ks_operator_sufficient(m) is not None for m in maps]
-    found = oracle.ks_violation_search_many(maps, oracle.SampleConfig(n_samples=5000, seed=11))
+    cfg = oracle.SampleConfig(n_samples=5000, seed=11)
+    positive = [oracle.ks_certified(m, cfg) is not None for m in maps]
+    # the oracle would skip the certified maps: sample them all
+    monkeypatch.setattr(oracle, "_certified", no_certificates)
+    found = oracle.ks_violation_search_many(maps, cfg)
     assert 0 < sum(positive) < len(maps) and any(found)
     assert not any(w for w, ok in zip(found, positive) if ok)
-
-
-def test_ks_operator_honours_tensor_ks_slack():
-    # lambda_min = -6e-10: outside the default slack, inside a loose one
-    m = TensorMap.scalar(ScalarPairParams(0.5 + 1e-10, 0.5 + 1e-10))
-    assert _ks_operator_min(m) == pytest.approx(-6e-10, rel=1e-3)
-    assert classify.ks_operator_sufficient(m) is None
-    tri = classify.ks_operator_sufficient(m, Tolerances(tensor_ks_slack=1e-8))
-    assert tri.status is Status.HOLDS_SUFFICIENT and tri.note.startswith("KS operator lambda_min")
 
 
 def test_ks_scalar_interval_holds_endpoints():
@@ -979,15 +972,15 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
 
     monkeypatch.setattr(classify, "ks_tensor_sufficient", refuse("sampled test"))
     monkeypatch.setattr(oracle, "ks_violation_search", refuse("oracle"))
-    # tmat: the decider has no test of its own, classify_full's KS operator decides
+    # tmat: the decider has no test of its own, the oracle's KS operator decides
     tri = classify.DECIDERS["tmat"].ks(None, None, DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
     v = classify_full("tmat:" + ",".join(["0.05"] * 18))
     assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
-    assert v.kadison_schwarz.note.startswith("KS operator lambda_min")
+    assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.7)
     # tlm outside the sufficient inequality and the component rule
     v = classify_full("tlm:0.6,0.2")
-    assert v.kadison_schwarz.note == "KS operator lambda_min = 0.2 >= -1e-10"
+    assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.2)
     # the KS operator stays out of the tlm decider, which the harness calls
     tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), None, DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
@@ -999,8 +992,8 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
 
 
 def test_classify_full_note_when_the_oracle_draws_nothing(monkeypatch):
-    # lambda_min(H) about -3e-9: outside tensor_ks_slack, so the oracle
-    # decides, but inside -tol/2, so the oracle skips the map unsampled
+    # lambda_min(H) about -3e-9 is inside -tol/2, so the oracle certifies
+    # the map unsampled, and the note gives lambda_min(H)
     draws = []
     original = oracle.sample_unit_sphere
 
@@ -1012,8 +1005,36 @@ def test_classify_full_note_when_the_oracle_draws_nothing(monkeypatch):
     half = ["0.5000000005", "0", "0", "0", "0.5000000005", "0", "0", "0", "0.5000000005"]
     v = classify_full("tmat:" + ",".join(half * 2))
     assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
-    assert v.kadison_schwarz.note == f"oracle found no violation: {oracle.CERTIFIED_NOTE}"
+    assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(-3e-9)
     assert draws == []
+
+
+@pytest.mark.parametrize(
+    "descriptor,builds,status",
+    [
+        # certified by its KS operator: one template, no search
+        ("tmat:" + ",".join(["0.05"] * 18), 1, Status.HOLDS_SUFFICIENT),
+        # one of the scalar pairs that the oracle fails
+        ("tlm:-0.75242916117889425,0.12479031303383681", 2, Status.FAILS),
+        # clean, but its KS operator certifies nothing: the search samples it
+        ("tdiag:-0.43,-0.29,0", 2, Status.HOLDS_SUFFICIENT),
+    ],
+    ids=["certified-tmat", "tlm-oracle", "clean-uncertified-tdiag"],
+)
+def test_classify_full_builds_each_template_at_most_twice(descriptor, builds, status, monkeypatch):
+    calls = []
+    original = oracle._basis_rows
+
+    def recording(map_obj):
+        calls.append(map_obj)
+        return original(map_obj)
+
+    monkeypatch.setattr(oracle, "_basis_rows", recording)
+    v = classify_full(descriptor)
+    assert v.kadison_schwarz.status is status
+    assert len(calls) == builds
+    certified = v.kadison_schwarz.note.startswith("oracle found no violation: the KS operator")
+    assert certified == (builds == 1)
 
 
 def test_check_hierarchy_rejects_sufficient_ks_without_positivity():

@@ -104,10 +104,17 @@ def test_huge_parameters_exit_2_or_classify(family, capsys):
         ["harness", "--family", "phi", "--grid", "0"],
         ["harness", "--family", "phi", "--grid", "-1"],
         ["scan", "--figure", "fig1", "--grid", "4", "--verify-choi", "-3", "--out"],
+        ["oracle", "tlm:0.6,0.55", "--seed", "-1"],
+        ["classify", "tlm:0.6,0.55", "--seed", "-3"],
+        ["harness", "--family", "phi", "--grid", "3", "--seed", "-4"],
+        ["scan", "--figure", "fig1", "--grid", "4", "--verify-choi", "3", "--seed", "-2", "--out"],
+        ["oracle", "tlm:0.6,0.55", "--tol", "inf"],
+        ["oracle", "tlm:0.6,0.55", "--tol", "nan"],
     ],
     ids=[
         "classify-samples", "oracle-samples", "oracle-tol", "harness-samples", "harness-grid-0",
-        "harness-grid-negative", "scan-verify-choi",
+        "harness-grid-negative", "scan-verify-choi", "oracle-seed", "classify-seed", "harness-seed",
+        "scan-seed", "oracle-tol-inf", "oracle-tol-nan",
     ],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
@@ -390,10 +397,12 @@ def test_oracle_transpose_witness(capsys):
 
 
 def test_oracle_identity_clean(capsys):
-    # the KS operator certifies the identity: the note says no sample was drawn
+    # the KS operator certifies the identity: the note gives lambda_min(H)
+    # and says no sample was drawn
     assert run(["oracle", "phi:1,1,1", "--samples", "1000", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("no violation: the KS operator certifies") and "no sample drawn" in out
+    assert "lambda_min(H) = 0 >= -tol/2" in out
 
 
 def test_oracle_sampled_clean(capsys):
@@ -444,3 +453,9 @@ def test_ksq_seed_env(monkeypatch, capsys):
         cli.build_parser()
     assert exc.value.code == cli.EXIT_PARSE == 2
     assert capsys.readouterr().err.startswith("error: KSQ_SEED must be an integer")
+    # a negative seed is a usage error, not a crash that exits 1 ("witness found")
+    monkeypatch.setenv("KSQ_SEED", "-5")
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "tlm:0.6,0.55"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: KSQ_SEED must be at least 0")

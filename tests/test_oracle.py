@@ -38,6 +38,11 @@ def test_sample_config_validation():
         SampleConfig(n_samples=0)
     with pytest.raises(ValueError, match="tol"):
         SampleConfig(tol=0.0)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SampleConfig(tol=tol)
+    with pytest.raises(ValueError, match="seed"):
+        SampleConfig(seed=-1)
 
 
 def test_sampler_determinism():
@@ -241,23 +246,10 @@ def _reference_defect_eigs(map_obj, w0, w):
 
 def _reference_search(map_obj, cfg):
     """The per-map KS search the batched one replaces, evaluating each map directly."""
-    g = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    z = g.normal(size=(4, 6))
-    w = z[:, :3] + 1j * z[:, 3:]
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    t = (g.normal(size=4) + 1j * g.normal(size=4)).astype(complex)
-    w0_free = isinstance(map_obj, (QubitChannel, TensorMap)) or bool(
-        np.max(np.abs(_reference_defect_eigs(map_obj, np.zeros(4, dtype=complex), w)
-                      - _reference_defect_eigs(map_obj, t, w))) <= 1e-8
-    )
     probes = classify.ks_probe_vectors()
     probes = probes / np.linalg.norm(probes, axis=1)[:, None]
     w = np.concatenate([probes, sample_unit_sphere(cfg.n_samples, cfg.seed)])
-    if w0_free:
-        w0 = np.zeros(len(w), dtype=complex)
-    else:
-        g = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-        w0 = g.normal(size=len(w)) + 1j * g.normal(size=len(w))
+    w0 = np.zeros(len(w), dtype=complex)
     eigs = _reference_defect_eigs(map_obj, w0, w)
     worst = int(np.argmin(eigs))
     if eigs[worst] < -cfg.tol:
@@ -336,14 +328,40 @@ def test_search_many_mixes_closures_and_dimensions(rng):
         convex_combination(cp_tensor, cp_tdiag, 0.4),
         conjugate_by_unitaries(transpose, random_unitary(rng), random_unitary(rng)),
         TensorMap.scalar(ScalarPairParams(0.6, 0.55)),
-        _NonUnitalChannel(np.diag([0.9, -0.9, 0.5])),  # fails the shift check: sampled w0
         clean,
     ]
     found = ks_violation_search_many(maps, cfg)
-    expected = [True, False, False, False, True, True, True, False]
+    expected = [True, False, False, False, True, True, False]
     assert [wit is not None for wit in found] == expected
-    assert found[6].x.w0 != 0  # the sampled-w0 branch
+    assert all(wit.x.w0 == 0 for wit in found if wit is not None)
     _assert_matches_reference(maps, found, cfg)
+
+
+def test_ks_search_takes_unital_maps_only(rng):
+    # w0 = 0 leaves the defect of a unital map unchanged, and no other's
+    cfg = SampleConfig(n_samples=100, seed=5)
+    non_unital = _NonUnitalChannel(np.diag([0.9, -0.9, 0.5]))
+    w = sample_unit_sphere(4, 1)
+    with pytest.raises(ValueError, match="not unital"):
+        ks_violation_search(non_unital, cfg)
+    with pytest.raises(ValueError, match="not unital"):
+        ks_violation_search_many([QubitChannel.identity(), non_unital], cfg)
+    with pytest.raises(ValueError, match="not unital"):
+        ks_defects([non_unital], w)
+    # the positivity search does not need a unital map
+    assert positivity_violation_search(non_unital, cfg) is None
+    # conjugate_by_unitaries accepts U off unitary by up to 1e-10: such a
+    # map is searched, and its witness is the exact conjugate's
+    transpose = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
+    U, V = random_unitary(rng), random_unitary(rng)
+    off = U * (1 + 1e-11)
+    assert 1e-11 <= np.max(np.abs(off @ off.conj().T - np.eye(2))) <= 1e-10
+    near = conjugate_by_unitaries(transpose, off, V)
+    assert np.max(np.abs(oracle._basis_rows(near)[0] - np.eye(2))) >= 1e-11
+    wit = ks_violation_search(near, cfg)
+    exact = ks_violation_search(conjugate_by_unitaries(transpose, U, V), cfg)
+    assert wit is not None and exact is not None
+    assert wit.violation == pytest.approx(exact.violation, abs=1e-9)
 
 
 def _recording_eigenvalues(monkeypatch, d):
@@ -370,7 +388,7 @@ def test_search_many_block_bound(monkeypatch):
     # one KS operator per map, in one stack; 11 of the 27 maps are
     # certified by it, and only the other 16 are sampled
     assert operators == [27]
-    certified = oracle._certified(np.concatenate([oracle._ks_template(m) for m in maps], axis=1), 2, cfg.tol)
+    certified, _ = oracle._certified(np.concatenate([oracle._ks_template(m) for m in maps], axis=1), 2, cfg.tol)
     assert np.count_nonzero(certified) == 11
     assert max(sizes + operators) <= oracle._CHUNK
     assert sum(sizes) == 16 * n_inputs
@@ -406,9 +424,9 @@ def test_monomials_once_per_chunk_of_inputs(monkeypatch):
     lengths = []
     original = oracle._monomials
 
-    def recording(w0, w):
+    def recording(w):
         lengths.append(len(w))
-        return original(w0, w)
+        return original(w)
 
     monkeypatch.setattr(oracle, "_monomials", recording)
     grid = _grid_maps("phi", 3)
@@ -430,22 +448,23 @@ def test_ks_defects_match_definition(rng):
         QubitChannel(rng.uniform(-1, 1, size=(3, 3)) * 0.8),
         conjugate_by_unitaries(QubitChannel(np.diag([0.5, 0.3, -0.2])), random_unitary(rng),
                                random_unitary(rng)),
-        _NonUnitalChannel(np.diag([0.3, 0.2, 0.1])),
+        convex_combination(QubitChannel(np.diag([0.3, 0.2, 0.1])), QubitChannel.identity(), 0.7),
     ]
     z = rng.normal(size=(6, 8))
     w0 = z[:, 0] + 1j * z[:, 1]
     w = z[:, 2:5] + 1j * z[:, 5:]
-    d = ks_defects(maps, w0, w)
+    d = ks_defects(maps, w)
     assert d.shape == (6, 3, 2, 2)
+    # the defect at w.s is the definition's at w0*1 + w.s: the maps are unital
     c0, cvec = star_square_coeffs(w0, w)
     for j, m in enumerate(maps):
         m_x = m.evaluate_batch(w0, w)
         direct = m.evaluate_batch(c0, cvec) - np.conj(np.swapaxes(m_x, -1, -2)) @ m_x
         assert np.max(np.abs(d[:, j] - direct)) < 1e-12
     tensor = [TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15))]
-    assert ks_defects(tensor, 0.0, w).shape == (6, 1, 4, 4)
+    assert ks_defects(tensor, w).shape == (6, 1, 4, 4)
     with pytest.raises(ValueError, match="output dimension"):
-        ks_defects(maps + tensor, w0, w)
+        ks_defects(maps + tensor, w)
 
 
 class _AffineChannel:
@@ -486,7 +505,7 @@ def test_search_guards():
 # --- the LDL^H screen against the all-eigvalsh search ----------------------
 
 
-def _eigvalsh_worst_defects(templates, d, w0, w, tol):
+def _eigvalsh_worst_defects(templates, d, w, tol):
     """The search loop before the screen: every defect's eigenvalue from LAPACK."""
     p = templates.shape[1] // (d * d)
     rows = oracle._CHUNK // p
@@ -494,7 +513,7 @@ def _eigvalsh_worst_defects(templates, d, w0, w, tol):
     best = np.full(p, np.inf)
     arg = np.zeros(p, dtype=int)
     for lo in range(0, len(w), rows):
-        mono = oracle._monomials(w0[lo : lo + rows], w[lo : lo + rows])
+        mono = oracle._monomials(w[lo : lo + rows])
         eigs = linalg.batch_min_eigenvalue(oracle._defects(templates, d, mono)).real
         k = np.argmin(eigs, axis=0)
         vals = eigs[k, cols]
@@ -558,7 +577,7 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
     maps = _screen_test_maps(rng)
     cfg = SampleConfig(n_samples=3000, seed=11)
     # the KS operator certifies some clean maps, which then skip the screen
-    assert any(oracle.ks_certified(m, cfg) for m in maps)
+    assert any(oracle.ks_certified(m, cfg) is not None for m in maps)
     with monkeypatch.context() as patch:
         # every map sampled: clean maps pass the LDL screen in tiles with failing ones
         patch.setattr(oracle, "_certified", no_certificates)
@@ -662,7 +681,7 @@ def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
     if case == "mixed-tile":
         assert reference[0] is None and reference[1] is not None
         # both clean maps are certified: with the skip on, they leave the tile
-        assert oracle.ks_certified(clean[0], cfg) and oracle.ks_certified(clean[1], cfg)
+        assert oracle.ks_certified(clean[0], cfg) is not None and oracle.ks_certified(clean[1], cfg) is not None
         for wit, single in zip(found, alone, strict=True):
             assert _same_witness(wit, single)
 
@@ -699,16 +718,15 @@ def test_last_block_of_a_draw_holds_eight_inputs():
     # product of 8 rows and gets the same bits
     rng = np.random.default_rng(0)
     draw = sample_unit_sphere(8193, 5)
-    w0 = np.zeros(len(draw), dtype=complex)
     for _ in range(5):
         maps = [QubitChannel.diagonal(DiagonalParams(*v)) for v in rng.uniform(-1, 1, size=(3, 3))]
-        worst = np.argmin(linalg.batch_min_eigenvalue(ks_defects(maps[:1], 0.0, draw))[:, 0])
+        worst = np.argmin(linalg.batch_min_eigenvalue(ks_defects(maps[:1], draw))[:, 0])
         w = np.concatenate([np.delete(draw, worst, axis=0), draw[[worst]]])
         templates = [oracle._ks_template(m) for m in maps]
-        vals, args = oracle._worst_defects(np.concatenate(templates, axis=1), 2, w0, w, 1e-8)
+        vals, args = oracle._worst_defects(np.concatenate(templates, axis=1), 2, w, 1e-8)
         assert args[0] == len(w) - 1
         for j, t in enumerate(templates):
-            alone = oracle._worst_defects(t, 2, w0, w, 1e-8)
+            alone = oracle._worst_defects(t, 2, w, 1e-8)
             assert alone[0][0].tobytes() == vals[j].tobytes() and alone[1][0] == args[j]
 
 
@@ -721,27 +739,26 @@ def test_template_skew_bounds_block_hermiticity(rng):
                                random_unitary(rng)),
         convex_combination(TensorMap.scalar(ScalarPairParams(0.3, 0.2)),
                            TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15)), 0.4),
-        _NonUnitalChannel(np.diag([0.9, -0.9, 0.5])),
         _NonHermitianChannel(),
     ]
-    z = rng.normal(size=(2000, 8))
-    w = z[:, 2:5] + 1j * z[:, 5:]
+    z = rng.normal(size=(2000, 6))
+    w = z[:, :3] + 1j * z[:, 3:]
     w /= np.linalg.norm(w, axis=1)[:, None]
-    for shifted, w0 in enumerate((np.zeros(len(z), dtype=complex), 3.0 * (z[:, 0] + 1j * z[:, 1]))):
-        mono = oracle._monomials(w0, w)
-        for m in maps:
-            t = oracle._ks_template(m)
-            defect = linalg.thin_matmul(mono, t.view(float)).view(complex)
-            defect = defect.reshape(len(mono), m.out_dim, m.out_dim)
-            dev = float(np.max(linalg.hermitian_deviation(defect)))
-            scale = float(np.max(np.sum(np.abs(mono), axis=1)))
-            bound = oracle._template_skew(t, m.out_dim) * scale
-            assert dev <= bound
-            if isinstance(m, _NonHermitianChannel):
-                assert bound > DEFECT_HERMITICITY
-            elif not shifted:
-                # unit inputs: the entry-wise check is skipped
-                assert bound <= DEFECT_HERMITICITY
+    mono = oracle._monomials(w)
+    scale = float(np.max(np.sum(np.abs(mono), axis=1)))
+    assert scale <= 1 + np.sqrt(2) <= oracle._UNIT_ROWS
+    for m in maps:
+        t = oracle._ks_template(m)
+        defect = linalg.thin_matmul(mono, t.view(float)).view(complex)
+        defect = defect.reshape(len(mono), m.out_dim, m.out_dim)
+        dev = float(np.max(linalg.hermitian_deviation(defect)))
+        bound = oracle._template_skew(t, m.out_dim) * scale
+        assert dev <= bound
+        if isinstance(m, _NonHermitianChannel):
+            assert bound > DEFECT_HERMITICITY
+        else:
+            # unit inputs: the entry-wise check is skipped
+            assert bound <= DEFECT_HERMITICITY
 
 
 # --- the KS-operator skip against the search that samples every map ---------
@@ -754,9 +771,9 @@ def _search_recording_skips(maps, cfg, monkeypatch):
     original = oracle._certified
 
     def recording(templates, d, tol):
-        ok = original(templates, d, tol)
+        ok, low = original(templates, d, tol)
         skipped.extend(ok.tolist())
-        return ok
+        return ok, low
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_certified", recording)
@@ -777,7 +794,8 @@ def test_skip_on_either_side_of_half_tol(monkeypatch):
     assert lows[1] > -cfg.tol / 2 > lows[2]
     found, skipped = _search_recording_skips(maps, cfg, monkeypatch)
     assert skipped == [low >= -cfg.tol / 2 for low in lows] == [True, True, False, False, False]
-    assert [oracle.ks_certified(m, cfg) for m in maps] == skipped
+    # ks_certified gives the certified maps' lambda_min(H), from the same build
+    assert [oracle.ks_certified(m, cfg) for m in maps] == [low if skip else None for low, skip in zip(lows, skipped)]
     for wit, ref in zip(found, _reference_searches(maps, cfg, monkeypatch), strict=True):
         assert _same_witness(wit, ref)
 
@@ -787,14 +805,14 @@ def test_skip_honours_cfg_tol(monkeypatch):
     for tol, skip in ((1e-6, True), (1e-8, False)):
         cfg = SampleConfig(n_samples=5000, seed=13, tol=tol)
         found, skipped = _search_recording_skips([m], cfg, monkeypatch)
-        assert skipped == [skip] and oracle.ks_certified(m, cfg) is skip
+        assert skipped == [skip] and (oracle.ks_certified(m, cfg) is not None) is skip
         assert _same_witness(found[0], _reference_searches([m], cfg, monkeypatch)[0])
 
 
 def test_skip_margin_grows_with_the_entries(monkeypatch):
     # -tol/2 lies 3e-12 below lambda_min of the KS operator: within the
-    # margin of the map scaled by 2.5 (largest template entry 6.25), not
-    # within that of the map itself (largest entry 2)
+    # margin of the map scaled by 2.5 (largest template entry 7.75), not
+    # within that of the map itself (largest entry 2.3)
     for scale, skip in ((1.0, True), (2.5, False)):
         m = QubitChannel(scale * np.diag([1.0, 0.5, -0.3]))
         low = float(linalg.batch_min_eigenvalue(classify.ks_operator(m)))
@@ -860,6 +878,6 @@ def test_skip_keeps_the_hermiticity_guard():
     t = oracle._ks_template(m)
     assert float(linalg.batch_min_eigenvalue(classify.ks_operator(m))) > 0.5
     assert oracle._template_skew(t, 2)[0] * oracle._UNIT_ROWS > DEFECT_HERMITICITY
-    assert not oracle._certified(t, 2, 1e-8)[0]
+    assert not oracle._certified(t, 2, 1e-8)[0][0]
     with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
         ks_violation_search_many([QubitChannel.identity(), m], SampleConfig(n_samples=100, seed=1))
