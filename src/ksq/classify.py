@@ -45,6 +45,12 @@ The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
 The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
 which calls them directly, still counts exactly the points where the
 paper's inequalities fail as resolved by the oracle.
+
+The KS and CP deciders of the boxed families (phi, tdiag, tlm) take one
+parameter record or an (N, arity) stack of rows.  A record is the
+one-row call of the same array code, and per row only the TriStates are
+built.  The phi rows that violate an inequality share one defect
+supremum, one phase computation and one definition-level re-verification.
 """
 
 from __future__ import annotations
@@ -147,8 +153,12 @@ class DiagKsTerms:
 # ---------------------------------------------------------------------------
 
 
-def diag_ks_residuals(l1: float, l2: float, l3: float) -> np.ndarray:
-    """LHS - RHS of the three closed-form inequalities (<= 0 means holds)."""
+def diag_ks_residuals(l1, l2, l3) -> np.ndarray:
+    """LHS - RHS of the three closed-form inequalities (<= 0 means holds).
+
+    The arguments are floats or arrays of one shape; the inequalities are
+    stacked on a new first axis, (3, ...).
+    """
     p = l1 * l2 * l3
     return np.array(
         [
@@ -275,15 +285,32 @@ def diag_ks_defect_supremum(p):
     return (float(sup), n) if isinstance(p, DiagonalParams) else (sup, n)
 
 
-def ks_witness_for_diag(p: DiagonalParams, n: np.ndarray) -> PauliElement:
-    """Unit-norm input with the worst KS defect at the given moduli."""
+def ks_witness_for_diag(p, n):
+    """Unit-norm input with the worst KS defect at the given moduli n.
+
+    A PauliElement for a DiagonalParams; for an (..., 3) stack of
+    parameter rows and moduli, the (..., 3) inputs w of x = w.s.
+    """
     terms = DiagKsTerms.from_params(p)
+    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
     _, d1, d2 = _phase_supremum(
-        4.0 * terms.A * n[1] * n[2], 4.0 * terms.B * n[0] * n[2], 4.0 * terms.C * n[0] * n[1]
+        4.0 * terms.A * n2 * n3, 4.0 * terms.B * n1 * n3, 4.0 * terms.C * n1 * n2
     )
     # d1 = th2 - th3, d2 = th3 - th1 with th1 = 0
-    w = np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * np.array([0.0, d1 + d2, d2]))
-    return PauliElement(0.0, w)
+    phases = np.stack([np.zeros_like(d1), d1 + d2, d2], axis=-1)
+    w = np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * phases)
+    return PauliElement(0.0, w) if isinstance(p, DiagonalParams) else w
+
+
+def _defect_min_eigs(m_sq, m_x, tols: Tolerances) -> np.ndarray:
+    """Smallest eigenvalues of the KS defects m_sq - m_x* m_x, one per
+    matrix of the stacks; ValueError when one is farther than
+    tols.hermiticity from Hermitian."""
+    defect = m_sq - linalg.adjoint(m_x) @ m_x
+    dev = linalg.hermitian_deviation(defect)
+    if np.any(dev > tols.hermiticity):
+        raise ValueError(f"KS defect is not Hermitian: max deviation {np.max(dev):.3e}")
+    return linalg.batch_min_eigenvalue(defect)
 
 
 def ks_defect_min_eig(ch, x: PauliElement, tols: Tolerances = DEFAULT) -> float:
@@ -291,51 +318,123 @@ def ks_defect_min_eig(ch, x: PauliElement, tols: Tolerances = DEFAULT) -> float:
     a defect farther than tols.hermiticity from Hermitian raises ValueError."""
     c0, c = pauli.star_square_coeffs(x.w0, x.w)
     m_sq, m_x = ch.evaluate_batch(np.array([c0, x.w0]), np.stack([c, x.w]))
-    defect = m_sq - linalg.adjoint(m_x) @ m_x
-    dev = linalg.hermitian_deviation(defect)
-    if dev > tols.hermiticity:
-        raise ValueError(f"KS defect is not Hermitian: max deviation {dev:.3e}")
-    return float(linalg.batch_min_eigenvalue(defect))
+    return float(_defect_min_eigs(m_sq, m_x, tols))
 
 
-def ks_phi_diag_exact(p: DiagonalParams, tols: Tolerances = DEFAULT, cfg=None) -> TriState:
+def _diag_defect_min_eigs(lams: np.ndarray, w: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """ks_defect_min_eig of each diagonal channel of a stack (..., 3) of
+    parameter rows at its own input x = w.s, w (..., 3), in one pass:
+    T = diag(lam) scales the Pauli coefficients of x*x and x entry by
+    entry."""
+    w0 = np.zeros(w.shape[:-1], dtype=complex)
+    c0, c = pauli.star_square_coeffs(w0, w)
+    m_sq, m_x = pauli.to_matrix_batch(c0, lams * c), pauli.to_matrix_batch(w0, lams * w)
+    return _defect_min_eigs(m_sq, m_x, tols)
+
+
+def _columns(p):
+    """(columns, one): the parameter columns of an (N, arity) stack of
+    rows, as (N,) arrays, or the field values of one parameter record, as
+    floats, with one = True.  The residual formulas broadcast over
+    either, and floats spare a lone row numpy's per-call overhead."""
+    if isinstance(p, np.ndarray):
+        return p.T, False
+    return tuple(vars(p).values()), True
+
+
+def _each(one: bool, build: Callable, *values):
+    """build(*row) for one row, given as the values themselves, or the
+    list of it over the rows of the values, (N,) arrays or lists."""
+    if one:
+        return build(*values)
+    lists = (v.tolist() if isinstance(v, np.ndarray) else v for v in values)
+    return [build(*row) for row in zip(*lists)]
+
+
+def _decide(res, tol: float, one: bool, holds: TriState, fails: Callable):
+    """The TriStates of a residual stack (m, ...), one column per row:
+    holds where all m residuals are at most tol, else fails(k, r, j) for
+    row j's first residual above tol (1-based k) and its value r.  One
+    TriState when one is set, else a list."""
+    held = all_hold(res, tol)
+    if one and held:
+        return holds
+    res = res.reshape(len(res), -1)
+    k = (res > tol).argmax(axis=0)
+    r = res[k, np.arange(res.shape[1])]
+    out = [
+        holds if h else fails(i + 1, v, j)
+        for j, (h, i, v) in enumerate(zip(held.reshape(-1).tolist(), k.tolist(), r.tolist()))
+    ]
+    return out[0] if one else out
+
+
+def ks_phi_diag_exact(p, tols: Tolerances = DEFAULT, cfg=None):
     """Exact KS classification of a diagonal channel.
 
-    Fast path: the three closed-form inequalities (sufficient).  When one
-    is violated the exact defect supremum decides; see the module
-    docstring for why the inequalities alone over-reject.  cfg is the
-    oracle's SampleConfig for a witness that the supremum's phases miss;
-    None means classify_full's default budget.
-    """
-    res = diag_ks_residuals(p.lam1, p.lam2, p.lam3)
-    if all_hold(res, tols.positivity):
-        return TriState(Status.HOLDS_EXACT, "diag KS inequalities hold")
-    worst = int(np.argmax(res > tols.positivity)) + 1
-    sup, n = diag_ks_defect_supremum(p)
-    if sup <= tols.positivity:
-        return TriState(
-            Status.HOLDS_EXACT,
-            f"inequality {worst} violated but defect supremum {sup:.3e} <= 0 "
-            "(the inequalities are sufficient-only)",
-        )
-    note = f"inequality {worst} violated; defect supremum {sup:.3e}"
-    ch = QubitChannel.diagonal(p)
-    witness = ks_witness_for_diag(p, n)
-    viol = ks_defect_min_eig(ch, witness, tols)
-    if viol < -tols.ks_violation:
-        return TriState(Status.FAILS, note, witness=(witness, viol))
-    # the reconstructed phases can miss a very shallow supremum; a
-    # certificate must violate KS, so take the oracle's or none at all
-    from .oracle import SampleConfig, ks_violation_search
+    p is a DiagonalParams, giving a TriState, or an (N, 3) stack of
+    parameter rows, giving a list of N TriStates, each the one its row
+    gets alone (as every KS and CP decider of the boxed families).
 
-    if cfg is None:
-        cfg = SampleConfig(n_samples=20000, seed=7, tol=tols.ks_violation)
-    wit = ks_violation_search(ch, cfg)
-    if wit is None:
-        return TriState(Status.FAILS, note + "; no witness re-verifies")
-    return TriState(
-        Status.FAILS, note + "; witness from the sampling oracle", witness=(wit.x, wit.violation)
-    )
+    Fast path: the three closed-form inequalities (sufficient); when all
+    rows satisfy them, nothing else runs.  Where one is violated the exact
+    defect supremum decides (_ks_phi_fallback); see the module docstring
+    for why the inequalities alone over-reject.  cfg is the oracle's
+    SampleConfig for a witness that the supremum's phases miss; None
+    means classify_full's default budget.
+    """
+    cols, one = _columns(p)
+    res = diag_ks_residuals(*cols)
+    held = all_hold(res, tols.positivity)
+    holds = TriState(Status.HOLDS_EXACT, "diag KS inequalities hold")
+    if one:
+        # a lone row stays a (3,) array: a leading axis of one costs every
+        # numpy call of the fallback time
+        return holds if held else _ks_phi_fallback(np.array(cols), res, tols, cfg)[0]
+    out = [holds] * len(held)
+    bad = np.flatnonzero(~held)
+    for i, tri in zip(bad.tolist(), _ks_phi_fallback(p[bad], res[:, bad], tols, cfg)):
+        out[i] = tri
+    return out
+
+
+def _ks_phi_fallback(rows: np.ndarray, res: np.ndarray, tols: Tolerances, cfg) -> list:
+    """The TriStates of ks_phi_diag_exact for rows (..., 3) that violate
+    an inequality, res (3, ...) their residuals.  When the supremum fails
+    any of them, every row gets its witness and its re-verified value in
+    one stacked pass; only the failing rows use theirs."""
+    worst = (res > tols.positivity).argmax(axis=0) + 1
+    sup, n = diag_ks_defect_supremum(rows)
+    fails = ~(sup <= tols.positivity)
+    w, viol = np.zeros(n.shape), np.zeros(sup.shape)
+    if fails.any():
+        w = ks_witness_for_diag(rows, n)
+        viol = _diag_defect_min_eigs(rows, w, tols)
+
+    def verdict(row, k, s, failed, v, x) -> TriState:
+        if not failed:
+            return TriState(
+                Status.HOLDS_EXACT,
+                f"inequality {k} violated but defect supremum {s:.3e} <= 0 "
+                "(the inequalities are sufficient-only)",
+            )
+        note = f"inequality {k} violated; defect supremum {s:.3e}"
+        if v < -tols.ks_violation:
+            return TriState(Status.FAILS, note, witness=(PauliElement(0.0, x), v))
+        # the reconstructed phases can miss a very shallow supremum; a
+        # certificate must violate KS, so take the oracle's or none at all
+        from .oracle import SampleConfig, ks_violation_search
+
+        budget = cfg or SampleConfig(n_samples=20000, seed=7, tol=tols.ks_violation)
+        wit = ks_violation_search(QubitChannel(np.diag(row)), budget)
+        if wit is None:
+            return TriState(Status.FAILS, note + "; no witness re-verifies")
+        return TriState(
+            Status.FAILS, note + "; witness from the sampling oracle", witness=(wit.x, wit.violation)
+        )
+
+    per_row = (a.reshape(-1).tolist() for a in (worst, sup, fails, viol))
+    return [verdict(r, *a, x) for r, *a, x in zip(rows.reshape(-1, 3), *per_row, w.reshape(-1, 3))]
 
 
 _BASE_PROBES = None
@@ -554,17 +653,18 @@ def ks_operator(map_obj) -> np.ndarray:
     return _ks_operators(_ks_template(map_obj), map_obj.out_dim)[0]
 
 
-def ks_tensor_diag_sufficient(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) -> TriState:
-    """Closed-form sufficient KS test for the diagonal tensor family."""
+def ks_tensor_diag_sufficient(p, tols: Tolerances = DEFAULT):
+    """Closed-form sufficient KS test for the diagonal tensor family; a
+    DiagonalTensorParams or an (N, 3) stack of rows (see ks_phi_diag_exact)."""
+    (l1, l2, l3), one = _columns(p)
     # the channel inequalities at 2*lam; doubling is exact
-    res = diag_ks_residuals(2.0 * p.lam1, 2.0 * p.lam2, 2.0 * p.lam3)
-    if all_hold(res, tols.positivity):
-        return TriState(Status.HOLDS_SUFFICIENT, "diagonal tensor KS inequalities hold")
-    worst = int(np.argmax(res > tols.positivity)) + 1
-    return TriState(
-        Status.INCONCLUSIVE,
-        f"diagonal tensor KS inequality {worst} violated by {res[worst - 1]:.3e} "
-        "(sufficient-only)",
+    return _decide(
+        diag_ks_residuals(2.0 * l1, 2.0 * l2, 2.0 * l3), tols.positivity, one,
+        TriState(Status.HOLDS_SUFFICIENT, "diagonal tensor KS inequalities hold"),
+        lambda k, r, j: TriState(
+            Status.INCONCLUSIVE,
+            f"diagonal tensor KS inequality {k} violated by {r:.3e} (sufficient-only)",
+        ),
     )
 
 
@@ -573,25 +673,26 @@ def ks_tlm_inequality(lam, mu, tol: float = DEFAULT.positivity):
 
         |lam||1 - 2 lam| + |mu||1 - 2 mu| <= 1 - 2 lam^2 - 2 mu^2
 
-    Returns (holds, lhs, rhs).
+    Returns (holds, lhs, rhs).  Floats in give floats out, which a lone
+    row computes faster than 0-d arrays, with the same bits.
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    lhs = np.abs(lam) * np.abs(1.0 - 2.0 * lam) + np.abs(mu) * np.abs(1.0 - 2.0 * mu)
+    lhs = abs(lam) * abs(1.0 - 2.0 * lam) + abs(mu) * abs(1.0 - 2.0 * mu)
     rhs = 1.0 - 2.0 * lam * lam - 2.0 * mu * mu
     return lhs <= rhs + tol, lhs, rhs
 
 
-def ks_tlm_sufficient(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
-    """Sufficient KS test for the scalar family."""
-    holds, lhs, rhs = ks_tlm_inequality(p.lam, p.mu, tols.positivity)
-    if holds:
-        return TriState(
-            Status.HOLDS_SUFFICIENT, f"scalar KS inequality holds ({lhs:.6g} <= {rhs:.6g})"
-        )
-    return TriState(
-        Status.INCONCLUSIVE,
-        f"scalar KS inequality violated ({lhs:.6g} > {rhs:.6g}); sufficient-only",
+def ks_tlm_sufficient(p, tols: Tolerances = DEFAULT):
+    """Sufficient KS test for the scalar family; a ScalarPairParams or an
+    (N, 2) stack of rows (see ks_phi_diag_exact)."""
+    (lam, mu), one = _columns(p)
+    return _each(
+        one,
+        lambda h, a, b: TriState(
+            Status.HOLDS_SUFFICIENT, f"scalar KS inequality holds ({a:.6g} <= {b:.6g})"
+        ) if h else TriState(
+            Status.INCONCLUSIVE, f"scalar KS inequality violated ({a:.6g} > {b:.6g}); sufficient-only"
+        ),
+        *ks_tlm_inequality(lam, mu, tols.positivity),
     )
 
 
@@ -604,20 +705,25 @@ def ks_scalar_interval_holds(lam, tol: float = DEFAULT.positivity):
     return (lam >= -0.25 - tol) & (lam <= 0.5 + tol)
 
 
-def ks_tlm(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
-    """The scalar-family KS decision short of the oracle.
+def ks_tlm(p, tols: Tolerances = DEFAULT):
+    """The scalar-family KS decision short of the oracle; a
+    ScalarPairParams or an (N, 2) stack of rows (see ks_phi_diag_exact).
 
     The sufficient inequality first; when it is violated, the component
     rule: the tensor combination of two KS scalar channels is KS.
     Otherwise INCONCLUSIVE.
     """
-    tri = ks_tlm_sufficient(p, tols)
-    components = ks_scalar_interval_holds(np.array([p.lam, p.mu]), tols.positivity)
-    if tri.status is Status.INCONCLUSIVE and components.all():
-        return TriState(
-            Status.HOLDS_SUFFICIENT, "both scalar components are KS, so their tensor combination is"
-        )
-    return tri
+    (lam, mu), one = _columns(p)
+    components = ks_scalar_interval_holds(np.array([lam, mu]), tols.positivity).all(axis=0)
+    both = TriState(
+        Status.HOLDS_SUFFICIENT, "both scalar components are KS, so their tensor combination is"
+    )
+    return _each(
+        one,
+        lambda tri, c: both if tri.status is Status.INCONCLUSIVE and c else tri,
+        ks_tlm_sufficient(p, tols),
+        components,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,42 +735,46 @@ def cp_phi_residuals(l1, l2, l3):
     """LHS - RHS of the three exact CP inequalities of a diagonal channel.
 
     The Ruskai-Szarek-Werner tetrahedron (Linear Algebra Appl. 347 (2002)),
-    broadcasting; one array per inequality, not broadcast against the
-    others (see all_hold); <= 0 means holds.
+    broadcasting over floats or arrays; one value per inequality, not
+    broadcast against the others (see all_hold); <= 0 means holds.
+    Squares are products, which round as an array's square does, also on
+    floats.
     """
-    l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
-    return (
-        (l1 + l2) ** 2 - (1 + l3) ** 2,
-        (l1 - l2) ** 2 - (1 - l3) ** 2,
-        4 * (l1 * l1 * l2 * l2 + l2 * l2 * l3 * l3 + l1 * l1 * l3 * l3 - 2 * l1 * l2 * l3)
-        - (1 - (l1 * l1 + l2 * l2 + l3 * l3)) ** 2,
-    )
+    s, d, p, m = l1 + l2, l1 - l2, 1 + l3, 1 - l3
+    first, second = s * s - p * p, d * d - m * m
+    third = 4 * (l1 * l1 * l2 * l2 + l2 * l2 * l3 * l3 + l1 * l1 * l3 * l3 - 2 * l1 * l2 * l3)
+    q = 1 - (l1 * l1 + l2 * l2 + l3 * l3)
+    q *= q  # in place: on a scan grid, one full-size array fewer at the peak
+    return first, second, third - q
 
 
-def cp_phi_exact(p: DiagonalParams, tols: Tolerances = DEFAULT) -> TriState:
-    """Exact CP test for diagonal channels (three closed-form inequalities)."""
-    res = np.array(cp_phi_residuals(p.lam1, p.lam2, p.lam3))
-    if all_hold(res, tols.positivity):
-        return TriState(Status.HOLDS_EXACT, "diagonal channel CP inequalities hold")
-    worst = int(np.argmax(res > tols.positivity)) + 1
-    return TriState(
-        Status.FAILS, f"diagonal channel CP inequality {worst} violated by {res[worst - 1]:.3e}"
+def cp_phi_exact(p, tols: Tolerances = DEFAULT):
+    """Exact CP test for diagonal channels (three closed-form inequalities);
+    a DiagonalParams or an (N, 3) stack of rows (see ks_phi_diag_exact)."""
+    cols, one = _columns(p)
+    return _decide(
+        np.array(cp_phi_residuals(*cols)), tols.positivity, one,
+        TriState(Status.HOLDS_EXACT, "diagonal channel CP inequalities hold"),
+        lambda k, r, j: TriState(
+            Status.FAILS, f"diagonal channel CP inequality {k} violated by {r:.3e}"
+        ),
     )
 
 
 def cp_tensor_diag_residuals(l1, l2, l3):
-    """LHS - RHS of the three exact CP inequalities, one array per
+    """LHS - RHS of the three exact CP inequalities, one value per
     inequality (broadcasting, as cp_phi_residuals)."""
-    l1, l2, l3 = (np.asarray(v, dtype=float) for v in (l1, l2, l3))
+    s, d = l1 + l2, l1 - l2
     return (
-        2.0 * (l1 + l2) ** 2 - (1.0 + 2.0 * l3),
-        2.0 * (l1 - l2) ** 2 - (1.0 - 2.0 * l3),
+        2.0 * (s * s) - (1.0 + 2.0 * l3),
+        2.0 * (d * d) - (1.0 - 2.0 * l3),
         4.0 * (l1 * l1 + l2 * l2 + l3 * l3) - (1.0 + 16.0 * l1 * l2 * l3),
     )
 
 
-def cp_tensor_diag_exact(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) -> TriState:
-    """Exact CP test for the diagonal tensor family.
+def cp_tensor_diag_exact(p, tols: Tolerances = DEFAULT):
+    """Exact CP test for the diagonal tensor family; a DiagonalTensorParams
+    or an (N, 3) stack of rows (see ks_phi_diag_exact).
 
     The 8x8 Choi matrix reduces (twice, plus two unit eigenvalues) to the
     3x3 block
@@ -684,11 +794,12 @@ def cp_tensor_diag_exact(p: DiagonalTensorParams, tols: Tolerances = DEFAULT) ->
     At l3 = +-1/2 these force l1 = l2 (resp. l1 = -l2), the closure of
     the open-interval criterion.
     """
-    res = np.array(cp_tensor_diag_residuals(p.lam1, p.lam2, p.lam3))
-    if all_hold(res, tols.positivity):
-        return TriState(Status.HOLDS_EXACT, "tensor CP minors hold")
-    worst = int(np.argmax(res > tols.positivity)) + 1
-    return TriState(Status.FAILS, f"tensor CP minor {worst} violated by {res[worst - 1]:.3e}")
+    cols, one = _columns(p)
+    return _decide(
+        np.array(cp_tensor_diag_residuals(*cols)), tols.positivity, one,
+        TriState(Status.HOLDS_EXACT, "tensor CP minors hold"),
+        lambda k, r, j: TriState(Status.FAILS, f"tensor CP minor {k} violated by {r:.3e}"),
+    )
 
 
 def tlm_choi_eigenvalues(p: ScalarPairParams) -> np.ndarray:
@@ -707,23 +818,26 @@ def cp_tlm_residuals(lam, mu):
 
         2 sqrt(lam^2 - lam mu + mu^2) <= lam + mu + 1,    lam + mu <= 1
 
-    one array per inequality (broadcasting, as cp_phi_residuals); <= 0
+    one value per inequality (broadcasting, as cp_phi_residuals); <= 0
     means holds.
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     root = np.sqrt(lam * lam - lam * mu + mu * mu)
     return -(lam + mu + 1.0 - 2.0 * root), lam + mu - 1.0
 
 
-def cp_tlm_exact(p: ScalarPairParams, tols: Tolerances = DEFAULT) -> TriState:
-    """Exact CP test for the scalar family."""
-    res = cp_tlm_residuals(p.lam, p.mu)
-    if all_hold(res, tols.positivity):
-        return TriState(Status.HOLDS_EXACT, "scalar CP inequalities hold")
-    if res[0] > tols.positivity:
-        return TriState(Status.FAILS, f"lam+mu+1-2*sqrt(lam^2-lam*mu+mu^2) = {-res[0]:.6g} < 0")
-    return TriState(Status.FAILS, f"lam+mu = {p.lam + p.mu:.6g} > 1")
+def cp_tlm_exact(p, tols: Tolerances = DEFAULT):
+    """Exact CP test for the scalar family; a ScalarPairParams or an (N, 2)
+    stack of rows (see ks_phi_diag_exact)."""
+    (lam, mu), one = _columns(p)
+    return _decide(
+        np.array(cp_tlm_residuals(lam, mu)), tols.positivity, one,
+        TriState(Status.HOLDS_EXACT, "scalar CP inequalities hold"),
+        lambda k, r, j: TriState(
+            Status.FAILS,
+            f"lam+mu+1-2*sqrt(lam^2-lam*mu+mu^2) = {-r:.6g} < 0" if k == 1
+            else f"lam+mu = {lam + mu if one else lam[j] + mu[j]:.6g} > 1",
+        ),
+    )
 
 
 def choi_min_eigenvalues(choi, tols: Tolerances = DEFAULT):
@@ -770,9 +884,13 @@ class Deciders:
     """The positive, KS and CP deciders of one descriptor kind.
 
     Each is called as decider(params, map, tols, cfg) and returns a
-    TriState; cfg is the oracle's SampleConfig.  A KS verdict of
-    INCONCLUSIVE sends the agreement harness and classify_full to the
-    oracle.
+    TriState; cfg is the oracle's SampleConfig.  The KS and CP deciders of
+    the boxed families (phi, tdiag, tlm) also take params as an
+    (N, arity) stack of parameter rows, with map None, and return a list
+    of N TriStates, each the one its row gets alone: the agreement
+    harness decides a whole grid with one call of each.  classify_full
+    calls them with one record.  A KS verdict of INCONCLUSIVE sends the
+    agreement harness and classify_full to the oracle.
     """
 
     positive: Callable
@@ -854,15 +972,35 @@ def classify_full(
 def _check_hierarchy(v: Verdict, tols: Tolerances = DEFAULT) -> None:
     """CP implies KS implies positive; a contradiction is an internal error.
 
-    A sufficient KS test holds within its tolerances, so it may meet a
-    positivity failure by at most tols.ks_violation: a positivity witness
-    1 + w.s whose image has smallest eigenvalue -delta is a KS witness too,
-    the defect at w.s having eigenvalue -(2 delta + delta^2).  A failure
-    without a witness value counts as deeper than any tolerance.
+    A verdict that holds does so within its slack, so it may meet a
+    failure one level down no deeper than that slack allows.  A failure
+    without a witness value counts as deeper than any.
+
+    CP and KS.  Read a CP verdict that holds as Choi eigenvalues >= -eps,
+    eps = tols.positivity (the test of cp_choi_numeric).  Psi(x) = tr(x) 1
+    has the identity as its Choi matrix, so map + eps Psi is CP, sends 1
+    to c 1 with c = 1 + 2 eps and, by Stinespring, satisfies
+    (map + eps Psi)(x)* (map + eps Psi)(x) <= c (map + eps Psi)(x*x).  At
+    x = w.s with |w| = 1 (a unital map's defect ignores w0), tr x = 0,
+    tr x*x = 2 and map(x*x) <= (map + eps Psi)(x*x) <= c ||x*x|| <= 2c, so
+
+        D(x) >= -(c - 1) map(x*x) - 2 eps c >= -6 eps c.
+
+    A KS witness no deeper than 6 eps (1 + 2 eps) is thus consistent with CP.
+
+    KS and positivity.  A sufficient KS test holds within its tolerances,
+    so it may meet a positivity failure by at most tols.ks_violation: a
+    positivity witness 1 + w.s whose image has smallest eigenvalue -delta
+    is a KS witness too, the defect at w.s having eigenvalue
+    -(2 delta + delta^2).
     """
     ks = v.kadison_schwarz.status
     if v.completely_positive.status is Status.HOLDS_EXACT and ks is Status.FAILS:
-        raise RuntimeError(f"hierarchy violation: CP holds but KS fails ({v})")
+        wit = v.kadison_schwarz.witness
+        viol = wit[1] if isinstance(wit, tuple) else getattr(wit, "violation", -np.inf)
+        eps = tols.positivity
+        if viol < -6.0 * eps * (1.0 + 2.0 * eps):
+            raise RuntimeError(f"hierarchy violation: CP holds but KS fails ({v})")
     if not v.kadison_schwarz.holds or v.positive.status is not Status.FAILS:
         return
     wit = v.positive.witness

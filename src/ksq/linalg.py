@@ -206,7 +206,9 @@ def batch_min_eigenvalue(stack: np.ndarray) -> np.ndarray:
         d = stack[..., 1, 1].real
         b = stack[..., 0, 1]
         half_tr = 0.5 * (a + d)
-        rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(b) ** 2)
+        # np.square, not ** 2: a lone matrix has numpy scalars here, whose
+        # power can round otherwise than an array's square
+        rad = np.sqrt(0.25 * np.square(a - d) + np.square(np.abs(b)))
         return half_tr - rad
     return np.linalg.eigvalsh(stack)[..., 0]
 

@@ -508,8 +508,11 @@ def agreement_harness(family: str, grid: int, cfg: SampleConfig = SampleConfig()
     its Choi spectrum.  The KS verdict is checked against the oracle
     unless it is INCONCLUSIVE, which counts as resolved by the oracle: a
     verdict that holds must leave the oracle clean, and one that fails
-    needs an oracle witness below -_WITNESS_FLOOR (1e-6).  All checked points go
-    to one ks_violation_search_many call, so they share one draw.
+    needs an oracle witness below -_WITNESS_FLOOR (1e-6).  The family's KS
+    and CP deciders each take the whole grid as one (N, arity) stack of
+    parameter rows; map objects are built only for the points sent to the
+    oracle, all in one ks_violation_search_many call, so they share one
+    draw.
     """
     fam = channels.FAMILIES.get(family)
     if fam is None or fam.box is None:
@@ -522,16 +525,15 @@ def agreement_harness(family: str, grid: int, cfg: SampleConfig = SampleConfig()
     axis = np.linspace(*fam.box, grid)
     pts = np.stack(np.meshgrid(*[axis] * fam.arity, indexing="ij"), axis=-1).reshape(-1, fam.arity)
     min_eigs = classify.choi_min_eigenvalues(fam.choi(pts))
-    verdicts, asked = [], []
-    for pt in pts:
-        p = fam.params(pt)
-        m = fam.map(p)
-        cp, ks = deciders.cp(p, m, DEFAULT, cfg), deciders.ks(p, m, DEFAULT, cfg)
-        verdicts.append((cp, ks))
-        if ks.status is not classify.Status.INCONCLUSIVE:
-            asked.append(m)
+    cps = deciders.cp(pts, None, DEFAULT, cfg)
+    kss = deciders.ks(pts, None, DEFAULT, cfg)
+    asked = [
+        fam.map(fam.params(pt))
+        for pt, ks in zip(pts, kss)
+        if ks.status is not classify.Status.INCONCLUSIVE
+    ]
     witnesses = iter(ks_violation_search_many(asked, cfg))
-    for pt, min_eig, (cp, ks) in zip(pts, min_eigs, verdicts):
+    for pt, min_eig, cp, ks in zip(pts, min_eigs, cps, kss):
         where = tuple(pt)
         if (cp.status is classify.Status.HOLDS_EXACT) != (min_eig >= -DEFAULT.positivity):
             report.discrepancies += 1

@@ -99,10 +99,11 @@ def test_criterion_3_diag_ks_vs_oracle_grid():
     params = [DiagonalParams(l1, l2, l3) for l1, l2, l3 in pts]
     channels = [QubitChannel.diagonal(p) for p in params]
     witnesses = oracle.ks_violation_search_many(channels, cfg)
+    # one stacked decider call; each row's verdict is the one it gets alone
+    verdicts = classify.ks_phi_diag_exact(pts)
     anomalies = []
     n_holds = n_fails = n_unwitnessed = 0
-    for p, ch, wit in zip(params, channels, witnesses):
-        verdict = classify.ks_phi_diag_exact(p)
+    for p, ch, wit, verdict in zip(params, channels, witnesses, verdicts):
         if verdict.status is classify.Status.HOLDS_EXACT:
             n_holds += 1
             if wit is not None:

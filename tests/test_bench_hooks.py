@@ -47,3 +47,24 @@ def test_oracle_workloads_pass_their_own_checks(monkeypatch, tmp_path):
         workload = getattr(workloads, name)(1, True, str(tmp_path))
         records = [(req, req.call()) for req in workload.round(0)]
         assert workload.check(records) == ([], 0), name
+
+
+def test_traced_workload_rounds_keep_the_decider_spans(monkeypatch, tmp_path):
+    # the tracer wraps classify.ks_phi_diag_exact and
+    # classify.diag_ks_defect_supremum by name; round 0 of the reduced
+    # grid-verify and classify-mix inputs must still record both, so a
+    # decider signature the wraps cannot carry fails here
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    for name in ("GridVerify", "ClassifyMix"):
+        workload = getattr(workloads, name)(1, True, str(tmp_path))
+        tracer = tracing.Tracer()
+        tracer.install(os.path.join(ROOT, "src", "ksq"))
+        try:
+            records = [(req, req.call()) for req in workload.round(0)]
+        finally:
+            tracer.uninstall()
+        assert workload.check(records)[0] == [], name
+        names = {span[tracing.NAME] for span in tracer.spans}
+        assert {"classify.ks_phi_diag_exact", "classify.diag_ks_defect_supremum"} <= names, name

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import no_certificates
 from ksq import classify, linalg, oracle
 from ksq.channels import (
+    FAMILIES,
     DiagonalParams,
     DiagonalTensorParams,
     QubitChannel,
@@ -151,7 +152,7 @@ def test_ks_phi_diag_witness_fallbacks(monkeypatch):
     # a real input has a zero bracket, so its defect is ||w||^2 - ||Tw||^2 >= 0
     p = DiagonalParams(1, -1, 1)
     monkeypatch.setattr(
-        classify, "ks_witness_for_diag", lambda p, n: PauliElement(0.0, [1.0, 0.0, 0.0])
+        classify, "ks_witness_for_diag", lambda p, n: np.broadcast_to([1.0 + 0j, 0.0, 0.0], n.shape)
     )
     tri = ks_phi_diag_exact(p)
     assert tri.status is Status.FAILS
@@ -1071,3 +1072,155 @@ def test_classify_full_at_the_positivity_boundary():
     # deeper than ks_violation, the oracle's axis probes see the defect
     v = classify_full("tlm:0.500000006,0.500000006", n_samples=500)
     assert (v.positive.status, v.kadison_schwarz.status) == (Status.FAILS, Status.FAILS)
+
+
+def test_check_hierarchy_allows_ks_witnesses_within_the_cp_slack():
+    # CP holds with a Choi eigenvalue of -1e-10, within positivity = 1e-9,
+    # and at ks_violation = 1e-10 the oracle finds a KS witness at -4e-10:
+    # no deeper than 6 eps (1 + 2 eps), so a verdict, not an internal error
+    entries = ",".join(["0.5000000001", "0", "0", "0", "0.5000000001", "0", "0", "0", "0.5000000001"] * 2)
+    v = classify_full("tmat:" + entries, n_samples=2000, tols=Tolerances(ks_violation=1e-10))
+    assert v.completely_positive.status is Status.HOLDS_EXACT
+    assert v.kadison_schwarz.status is Status.FAILS
+    assert -6e-9 < v.kadison_schwarz.witness.violation < -1e-10
+
+    def ks_fails_at(violation):
+        return classify.TriState(Status.FAILS, "KS fails", witness=(None, violation))
+
+    holds = classify.TriState(Status.HOLDS_EXACT, "holds")
+    bound = 6.0 * DEFAULT.positivity * (1.0 + 2.0 * DEFAULT.positivity)
+    classify._check_hierarchy(classify.Verdict(holds, ks_fails_at(-bound), holds))
+    for ks in (ks_fails_at(-1e-3), ks_fails_at(-1.01 * bound), classify.TriState(Status.FAILS, "no witness")):
+        with pytest.raises(RuntimeError, match="CP holds but KS fails"):
+            classify._check_hierarchy(classify.Verdict(holds, ks, holds))
+    # the bound scales with the CP slack
+    with pytest.raises(RuntimeError, match="CP holds but KS fails"):
+        classify._check_hierarchy(
+            classify.Verdict(holds, ks_fails_at(-bound), holds), Tolerances(positivity=1e-10)
+        )
+
+
+# --- stacked deciders -------------------------------------------------------
+
+# (decider, residuals whose zero sets bound its verdicts, box) per boxed family
+_STACKED = {
+    "phi": (
+        (ks_phi_diag_exact, cp_phi_exact),
+        (diag_ks_residuals, lambda *v: np.array(classify.cp_phi_residuals(*v))),
+        (-1.0, 1.0),
+    ),
+    "tdiag": (
+        (ks_tensor_diag_sufficient, cp_tensor_diag_exact),
+        (
+            lambda *v: diag_ks_residuals(*(2.0 * np.asarray(v))),
+            lambda *v: np.array(classify.cp_tensor_diag_residuals(*v)),
+        ),
+        (-0.5, 0.5),
+    ),
+    "tlm": (
+        (classify.ks_tlm, cp_tlm_exact),
+        (
+            lambda *v: np.array([np.subtract(*classify.ks_tlm_inequality(*v)[1:])]),
+            lambda *v: np.array(classify.cp_tlm_residuals(*v)),
+        ),
+        (-1.0, 1.0),
+    ),
+}
+
+
+def _onto_boundary(f, row, j, box):
+    """row with coordinate j moved onto the zero set of f, which maps rows
+    (N, arity) to (N,) values: to the sign change nearest to row[j] on a
+    65-point scan of the box, then 60 bisection steps.  row itself when f
+    has no sign change there."""
+    scan = np.linspace(*box, 65)
+    pts = np.repeat(row[None], len(scan), axis=0)
+    pts[:, j] = scan
+    sign = np.sign(f(pts))
+    cuts = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    if len(cuts) == 0:
+        return row
+    c = cuts[np.argmin(np.abs(scan[cuts] - row[j]))]
+    lo, hi, side = scan[c], scan[c + 1], sign[c]
+    at = row.copy()
+    for _ in range(60):
+        at[j] = 0.5 * (lo + hi)
+        if np.sign(f(at[None])[0]) == side:
+            lo = at[j]
+        else:
+            hi = at[j]
+    at[j] = lo
+    return at
+
+
+def _same_tristate(a, b):
+    assert (a.status, a.note) == (b.status, b.note)
+    if a.witness is None or b.witness is None:
+        assert a.witness is None and b.witness is None
+        return
+    (xa, va), (xb, vb) = a.witness, b.witness
+    assert (xa.w0, xa.w.tobytes(), va) == (xb.w0, xb.w.tobytes(), vb)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_STACKED)),
+    units=st.lists(
+        st.tuples(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.integers(0, 2),
+                  st.sampled_from([0.0, -3e-9, -1e-9, 1e-9, 3e-9, 1e-6])),
+        min_size=1, max_size=12,
+    ),
+)
+def test_stacked_deciders_match_their_one_row_calls(family, units):
+    # rows on and just off every inequality's zero set, where the verdicts
+    # switch; for phi also the subnormal-moduli example of
+    # test_defect_supremum_near_interior_region_lines and a shallow
+    # supremum whose witness goes to the oracle
+    (ks, cp), residuals, box = _STACKED[family]
+    fam = FAMILIES[family]
+    lo, hi = box
+    rows = [[0.625, -0.5, -1.0], [0.5, 0.5, 0.5], [-0.5000000005] * 3] if family == "phi" else []
+    for unit, j, offset in units:
+        base = lo + (hi - lo) * np.array(unit[: fam.arity])
+        j %= fam.arity
+        for residual in residuals:
+            for i in range(len(residual(*base))):
+                row = _onto_boundary(lambda r, i=i: residual(*r.T)[i], base, j, box)
+                row[j] = np.clip(row[j] + offset, lo, hi)
+                rows.append(row)
+    rows = np.array(rows, dtype=float)
+    cfg = oracle.SampleConfig(n_samples=300, seed=5)
+    for decider, call in ((ks, lambda p: ks(p, DEFAULT, cfg) if ks is ks_phi_diag_exact else ks(p)),
+                          (cp, cp)):
+        stacked = call(rows)
+        assert len(stacked) == len(rows)
+        for row, tri in zip(rows, stacked):
+            _same_tristate(tri, call(fam.params(row)))
+            if ks is ks_phi_diag_exact and tri.witness is not None and "oracle" not in tri.note:
+                # the stacked re-verification is ks_defect_min_eig's, bit for bit
+                x, violation = tri.witness
+                assert ks_defect_min_eig(QubitChannel(np.diag(row)), x) == violation
+
+
+@pytest.mark.parametrize("family,grid", [("phi", 3), ("tdiag", 3), ("tlm", 4)])
+def test_harness_calls_each_stacked_decider_once(family, grid, monkeypatch):
+    (ks, cp), _, _ = _STACKED[family]
+    fam = FAMILIES[family]
+    calls, built = [], []
+    for fn in (ks, cp):
+        def spy(p, *args, fn=fn, **kwargs):
+            calls.append((fn.__name__, np.shape(p)))
+            return fn(p, *args, **kwargs)
+
+        monkeypatch.setattr(classify, fn.__name__, spy)
+
+    def build(p):
+        built.append(p)
+        return fam.map(p)
+
+    monkeypatch.setitem(FAMILIES, family, replace(fam, map=build))
+    report = oracle.agreement_harness(family, grid, oracle.SampleConfig(n_samples=300, seed=9))
+    points = grid**fam.arity
+    assert sorted(calls) == sorted([(ks.__name__, (points, fam.arity)), (cp.__name__, (points, fam.arity))])
+    # maps are built for the points the oracle checks, and for no others
+    assert len(built) == points - report.resolved_by_oracle
