@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from ksq.channels import ScalarPairParams, TensorMap, split_phi_psi
+from ksq.channels import QubitChannel, ScalarPairParams, TensorMap
 from ksq.cli import ScanSpec, scan_flags, write_scan_csv, write_scan_pgm
 from ksq.oracle import SampleConfig, ks_violation_search
 
@@ -33,7 +33,7 @@ def main():
     lam, mu = -0.3, 0.0
     cfg = SampleConfig(n_samples=20000, seed=23)
     m = TensorMap.scalar(ScalarPairParams(lam, mu))
-    phi, _ = split_phi_psi(m)
+    phi = QubitChannel(2.0 * m.A)  # the factor channel with T-matrix 2A
     wit_m = ks_violation_search(m, cfg)
     wit_phi = ks_violation_search(phi, cfg)
     print(f"\nat (lam, mu) = ({lam}, {mu}):")

@@ -14,7 +14,6 @@ from .channels import (
     convex_combination,
     conjugate_by_unitaries,
     parse_descriptor,
-    split_phi_psi,
 )
 from .classify import Status, TriState, Verdict, classify_full
 from .oracle import SampleConfig, Witness, ks_violation_search, positivity_violation_search
@@ -46,6 +45,5 @@ __all__ = [
     "ks_violation_search",
     "parse_descriptor",
     "positivity_violation_search",
-    "split_phi_psi",
     "to_matrix",
 ]

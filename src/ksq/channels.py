@@ -150,15 +150,6 @@ class TensorMap:
         return pauli.tensor_to_matrix_batch(w0, thin_matmul(w, self.A.T), thin_matmul(w, self.C.T))
 
 
-def split_phi_psi(m: TensorMap) -> tuple[QubitChannel, QubitChannel]:
-    """The two qubit channels with T-matrices 2A and 2C.
-
-    They recombine as T(x) = (kron(I, Phi(x)) + kron(Psi(x), I)) / 2 under
-    the library's tensor-slot convention (Phi on the fast index).
-    """
-    return QubitChannel(2.0 * m.A), QubitChannel(2.0 * m.C)
-
-
 # ---------------------------------------------------------------------------
 # Choi matrices: blocks of the map applied to matrix units
 # ---------------------------------------------------------------------------

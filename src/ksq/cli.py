@@ -138,19 +138,30 @@ def _bitmask(flags: np.ndarray) -> np.ndarray:
 def write_scan_csv(path: str, spec: ScanSpec, flags: np.ndarray) -> None:
     """UTF-8, LF line endings, header x,y,<columns>, one row per cell.
 
-    Each x-coordinate is formatted once.  Each grid row formats its y
-    once, builds the 2^k possible "<y>,<bits>" line tails, and is written
-    as one joined string, so memory stays at one row whatever the grid.
+    Each grid row is one uint8 buffer of lines "<x>," + "<y>,<bits>\\n".
+    A row's tails share one length L; per distinct L a template holding
+    the x heads and a mask of its tail slots are built once.  Each row
+    gathers its (2^k, L) tail table by the cells' bitmasks into the slots,
+    so memory stays at a few row-sized buffers per L, whatever the grid.
     """
     k = len(spec.columns)
-    x_heads = [_fmt(x) + "," for x in spec.xs()]
-    bit_strs = [",".join(str((mask >> c) & 1) for c in range(k)) for mask in range(1 << k)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y," + ",".join(spec.columns) + "\n")
+    heads = [(_fmt(x) + ",").encode("ascii") for x in spec.xs()]
+    bit_strs = [",".join(str((mask >> c) & 1) for c in range(k)) + "\n" for mask in range(1 << k)]
+    layouts = {}  # L -> (template, tail-slot mask, gathered tails)
+    with open(path, "wb") as fh:
+        fh.write(("x,y," + ",".join(spec.columns) + "\n").encode("ascii"))
         for y, row in zip(spec.ys(), _bitmask(flags)):
-            y_head = _fmt(y) + ","
-            tails = [y_head + bits + "\n" for bits in bit_strs]
-            fh.write("".join(map(str.__add__, x_heads, map(tails.__getitem__, row.tolist()))))
+            tails = (_fmt(y) + ",").join(["", *bit_strs]).encode("ascii")  # "<y>,<bits>\n" each
+            table = np.frombuffer(tails, dtype=np.uint8).reshape(1 << k, -1)
+            width = table.shape[1]
+            if width not in layouts:
+                template = np.frombuffer(bytearray(b"".join(h + bytes(width) for h in heads)), dtype=np.uint8)
+                slots = np.frombuffer(b"".join(bytes(len(h)) + b"\1" * width for h in heads), dtype=bool)
+                layouts[width] = (template, slots, np.empty((len(heads), width), dtype=np.uint8))
+            template, slots, gathered = layouts[width]
+            np.take(table, row, axis=0, out=gathered)
+            template[slots] = gathered.ravel()
+            fh.write(template)
 
 
 def write_scan_pgm(path: str, spec: ScanSpec, flags: np.ndarray) -> None:

@@ -20,7 +20,6 @@ from ksq.channels import (
     convex_combination,
     map_for_descriptor,
     parse_descriptor,
-    split_phi_psi,
 )
 from ksq.pauli import PauliElement, SIGMA, from_matrix, to_matrix
 
@@ -135,21 +134,11 @@ def test_tensor_trace_preservation(rng):
         assert abs(tr_in - tr_out) < 1e-13
 
 
-def test_split_phi_psi_matrices(rng):
-    m = TensorMap.scalar(ScalarPairParams(0.37, -0.21))
-    phi, psi = split_phi_psi(m)
-    assert np.allclose(phi.T, np.diag([0.74, 0.74, 0.74]))
-    assert np.allclose(psi.T, np.diag([-0.42, -0.42, -0.42]))
-    zero = TensorMap(np.zeros((3, 3)), np.zeros((3, 3)))
-    phi0, psi0 = split_phi_psi(zero)
-    x = random_element(rng)
-    assert coeffs_close(from_matrix(apply(phi0, x)), PauliElement(x.w0))
-    assert coeffs_close(from_matrix(apply(psi0, x)), PauliElement(x.w0))
-
-
 def test_split_phi_psi_recombination(rng):
+    # T(x) = (kron(I, Phi(x)) + kron(Psi(x), I)) / 2 with Phi, Psi the qubit
+    # channels of T-matrices 2A, 2C: Phi acts on the fast tensor index
     m = TensorMap(rng.normal(size=(3, 3)) / 3, rng.normal(size=(3, 3)) / 3)
-    phi, psi = split_phi_psi(m)
+    phi, psi = QubitChannel(2.0 * m.A), QubitChannel(2.0 * m.C)
     eye = np.eye(2, dtype=complex)
     for _ in range(200):
         x = random_element(rng)

@@ -288,10 +288,19 @@ def _reference_scan_csv(spec, flags) -> bytes:
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])
-@pytest.mark.parametrize("grid", [2, 7, 33])
-def test_scan_csv_matches_reference_formatter(tmp_path, figure, grid):
+@pytest.mark.parametrize(
+    "grid, random_flags", [(2, False), (7, False), (33, False), (33, True)],
+    ids=["2", "7", "33", "33-random"],
+)
+def test_scan_csv_matches_reference_formatter(tmp_path, figure, grid, random_flags):
     spec = ScanSpec.for_figure(figure, grid)
-    flags = scan_flags(spec)
+    if random_flags:
+        # every row of the 2^k-tail table, which scan_flags may leave unused
+        k = len(spec.columns)
+        flags = np.random.default_rng(19).random((k, grid, grid)) < 0.5
+        assert set(np.unique(cli._bitmask(flags)).tolist()) == set(range(1 << k))
+    else:
+        flags = scan_flags(spec)
     out = tmp_path / "scan.csv"
     write_scan_csv(str(out), spec, flags)
     assert out.read_bytes() == _reference_scan_csv(spec, flags)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -135,14 +136,28 @@ def test_positivity_identity_clean():
     assert positivity_violation_search(QubitChannel.identity(), SampleConfig(n_samples=2000)) is None
 
 
-def test_witness_hunt_demo_runs():
-    # the one demo that calls the positivity search, run as a user would
+# each demo and one line it must print
+DEMO_LINES = {
+    "choi_spectra": r"smallest eigenvalue -0\.0500 < 0",
+    "classify_tour": r"kadison_schwarz\s+fails\s+inequality 1 violated",
+    "figure1_regions": r"channel-CP but tensor-not-CP cells:\s+0\s",
+    "figure2_regions": r"tensor map oracle:\s+clean",
+    "oracle_witness_hunt": r"output eigenvalue -0\.100000",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_LINES))
+def test_witness_hunt_demo_runs(demo):
+    # every demo, run as a user would; the region demos write demos/output/
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert sorted(DEMO_LINES) == sorted(
+        name[:-3] for name in os.listdir(os.path.join(root, "demos")) if name.endswith(".py")
+    )
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    done = subprocess.run([sys.executable, os.path.join(root, "demos", "oracle_witness_hunt.py")],
+    done = subprocess.run([sys.executable, os.path.join(root, "demos", demo + ".py")],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert "output eigenvalue -0.100000" in done.stdout
+    assert re.search(DEMO_LINES[demo], done.stdout), done.stdout
 
 
 def test_convex_combination_stays_clean(rng):
@@ -216,12 +231,10 @@ def test_tensor_ks_without_component_ks():
     # a scalar pair whose tensor combination passes the oracle while the
     # split channel components do not: the combination genuinely carries
     # more Kadison-Schwarz room than its factors
-    from ksq.channels import split_phi_psi
-
     cfg = SampleConfig(n_samples=20000, seed=23)
     m = TensorMap.scalar(ScalarPairParams(-0.3, 0.0))
     assert ks_violation_search(m, cfg) is None
-    phi, _ = split_phi_psi(m)  # the channel w -> -0.6 w
+    phi = QubitChannel(2.0 * m.A)  # the channel w -> -0.6 w
     wit = ks_violation_search(phi, cfg)
     assert wit is not None and wit.violation < -1e-3
 
