@@ -33,14 +33,15 @@ moduli exactly: it is the largest of four quadratic forms, each
 maximised over a triangle by enumerating its KKT points.
 
 Tensor maps have no exact KS test.  One certified sufficient test is the
-KS operator of ``ks_operator``: the defect at x = w.s is a quadratic form
-in w with operator-valued entries, and where the 12x12 operator H that
-carries it is positive semidefinite, so is every defect (the converse
-fails: KS only needs H >= 0 on product vectors).  It is the oracle's
-test, and the oracle's one decision: a map whose lambda_min(H), less a
-rounding margin, is >= -tol/2 is clean without sampling
-(``oracle.ks_certified``), and ``classify_full`` asks it first for any
-map whose decider said INCONCLUSIVE, so the note gives lambda_min(H).
+KS operator H, which only the oracle assembles: the defect at x = w.s is
+a quadratic form in w with operator-valued entries, and where the 12x12
+operator H that carries it is positive semidefinite, so is every defect
+(the converse fails: KS only needs H >= 0 on product vectors).  It is
+the oracle's test, and the oracle's one decision: a map whose
+lambda_min(H), less a rounding margin, is >= -tol/2 is clean without
+sampling (``oracle.ks_certified``), and ``classify_full`` asks it first
+for any map whose decider said INCONCLUSIVE, so the note gives
+lambda_min(H).
 The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
 The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
 which calls them directly, still counts exactly the points where the
@@ -393,6 +394,8 @@ def ks_phi_diag_exact(p, tols: Tolerances = DEFAULT, cfg=None):
         return holds if held else _ks_phi_fallback(np.array(cols), res, tols, cfg)[0]
     out = [holds] * len(held)
     bad = np.flatnonzero(~held)
+    if not bad.size:
+        return out
     for i, tri in zip(bad.tolist(), _ks_phi_fallback(p[bad], res[:, bad], tols, cfg)):
         out[i] = tri
     return out
@@ -633,24 +636,6 @@ def ks_tensor_sufficient(
         Status.HOLDS_SUFFICIENT,
         f"sufficient inequalities hold on {len(w)} probed/sampled inputs",
     )
-
-
-def ks_operator(map_obj) -> np.ndarray:
-    """The KS operator H = sum_kl |k><l| (x) H_kl of a map, a (3d, 3d) matrix.
-
-    With x = w.s, B_k = map(s_k) and G_kl = B_k* B_l, the KS defect is
-
-        D(w) = sum_kl conj(w_k) w_l H_kl,   H_kl = delta_kl B_0 + i eps_klm B_m - G_kl,
-
-    so <xi, D(w) xi> = <w (x) xi, H w (x) xi>.  For a unital map, which
-    has D(x + t 1) = D(x), H >= 0 therefore proves KS (M.-D. Choi, Illinois
-    J. Math. 18 (1974) 565-574), and lambda_min(D(w)) >= lambda_min(H) for
-    unit w.  The map must be unital (ValueError otherwise);
-    oracle._ks_operators unpacks H from the map's template rows.
-    """
-    from .oracle import _ks_operators, _ks_template
-
-    return _ks_operators(_ks_template(map_obj), map_obj.out_dim)[0]
 
 
 def ks_tensor_diag_sufficient(p, tols: Tolerances = DEFAULT):

@@ -254,21 +254,20 @@ def cmd_classify(args) -> int:
 def _witness_json(level: str, witness):
     """A positivity witness (x, sup) gives the image of x = 1 + w.s the
     smallest eigenvalue 1 - sup, reported as its violation; a KS witness
-    (x, violation) reports the defect's."""
+    (x, violation) reports the defect's, and a CP witness, the smallest
+    Choi eigenvalue, its value."""
     if isinstance(witness, oracle.Witness):
         return {
             "kind": witness.defect_kind,
             "input": _pauli_json(witness.x),
             "violation": witness.violation,
         }
-    if isinstance(witness, tuple) and len(witness) == 2:
-        x, value = witness
-        if level == "positive":
-            return {"input": _pauli_json(x), "sup": value, "violation": 1.0 - value}
-        return {"input": _pauli_json(x), "violation": value}
     if isinstance(witness, float):
         return {"value": witness}
-    return str(witness)
+    x, value = witness
+    if level == "positive":
+        return {"input": _pauli_json(x), "sup": value, "violation": 1.0 - value}
+    return {"input": _pauli_json(x), "violation": value}
 
 
 def _pauli_json(x) -> list:

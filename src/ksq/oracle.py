@@ -34,11 +34,12 @@ inputs and every defect gets the bits it gets in a search of its map
 alone.
 
 The positivity search contracts the basis rows alone: its inputs are
-x = 1 + w.s with real w, so map(x) = B_0 + sum_k w_k B_k, one real product
-of the rows (1, w) per chunk of _CHUNK inputs through the same kernel
-(_defects).  Both searches take B_k from _basis_rows, so they share the
-linearity check and the Hermiticity guard; the positivity search does
-not need a unital map.
+x = 1 + w.s with real w, so map(x) = B_0 + sum_k w_k B_k.  It runs the KS
+search's loop (_worst_defects) on one map, with the four basis rows as
+its templates and the rows (1, w) in place of the monomials.  Both
+searches take B_k from _basis_rows, so they share the linearity check
+and the Hermiticity guard; the positivity search does not need a unital
+map.
 
 Both searches screen each map's matrices at a floor (linalg.screen_below)
 and send only the rest to LAPACK.  The floor is -tol/2 until the map has a
@@ -58,7 +59,7 @@ is within the Hermiticity guard, gets None and joins no tile; when no
 map is left, the sphere is not drawn.  Every defect eigenvalue the search
 would compute for it lies at or above -tol/2, so an unscreened search
 returns None too, and the other maps' witnesses do not depend on their
-tile.  The positivity search is not screened.
+tile.  The positivity search has no such skip.
 """
 
 from __future__ import annotations
@@ -205,6 +206,12 @@ def _monomials(w) -> np.ndarray:
     return np.concatenate([np.abs(w) ** 2, q.real, q.imag], axis=1)
 
 
+def _ball_rows(w) -> np.ndarray:
+    """(N, 4) real rows (1, w) matching the basis rows at x = 1 + w.s for
+    real w, so that the product is map(x) = B_0 + sum_k w_k B_k."""
+    return np.concatenate([np.ones((len(w), 1)), w], axis=1)
+
+
 def _template_skew(templates: np.ndarray, d: int) -> np.ndarray:
     """One bound per map: |D - D*| <= skew * max_n sum_j |r_nj| entry by
     entry for the computed D = sum_j r_j T_j: max |T_j - T_j*| plus the
@@ -222,7 +229,8 @@ def _ks_operators(templates: np.ndarray, d: int) -> np.ndarray:
     H = sum_kl |k><l| (x) H_kl, unpacked from the rows: H_kk as they are,
     H_kl and H_lk as half the sum and difference of H_kl + H_lk and
     -i * i(H_kl - H_lk).  Its blocks are the ones the search contracts,
-    D(w) = sum_kl conj(w_k) w_l H_kl (see classify.ks_operator).
+    D(w) = sum_kl conj(w_k) w_l H_kl, so <xi, D(w) xi> = <w (x) xi, H w (x) xi>.
+    This is the one place H is assembled.
     """
     rows = templates.reshape(len(templates), -1, d, d)
     sym, skew = rows[3:6], rows[6:]
@@ -330,13 +338,16 @@ def _lowest_eigenvalues(stack: np.ndarray, floor) -> np.ndarray:
     return out
 
 
-def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float):
+def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float, monomials=None):
     """Smallest defect eigenvalue of each templated map over all inputs.
 
     Returns (values, first input index attaining each); +inf for a map
-    whose defects all screen above -tol/2.  Each block holds at most
-    _CHUNK matrices, maps times inputs; its monomials come from one
-    _monomials call per chunk of at most _CHUNK inputs.  No block or chunk
+    whose defects all screen above -tol/2.  The templates are contracted
+    with the real rows that monomials builds from the inputs: _monomials
+    when None (the KS search), _ball_rows for the positivity search, which
+    passes one map's basis rows as its templates.  Each block holds at
+    most _CHUNK matrices, maps times inputs; its rows come from one
+    monomials call per chunk of at most _CHUNK inputs.  No block or chunk
     holds fewer than linalg._MIN_SLICE inputs when the draw has that many:
     the last one starts earlier, and its inputs seen before go no further
     than the product.  The caller passes at most _TILE maps.
@@ -346,6 +357,7 @@ def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float):
     -tol/2, at the scalar -tol/2.  A screened-out defect lies above its
     floor, so it can neither be a map's minimum nor tie with it.
     """
+    monomials = monomials or _monomials
     p = templates.shape[1] // (d * d)
     rows = _CHUNK // p
     chunk = rows * (_CHUNK // rows)  # a whole number of blocks
@@ -355,7 +367,7 @@ def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float):
     arg = np.zeros(p, dtype=int)
     done = 0  # inputs searched so far
     for c in linalg.slices(len(w), chunk):
-        mono = _monomials(w[c])
+        mono = monomials(w[c])
         for b in linalg.slices(len(mono), rows):
             block = mono[b]
             seen = done - c.start - b.start  # a last block that starts early
@@ -447,34 +459,18 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     Inputs are x = 1 + w.s with real w in the closed unit ball (positive
     by construction), after the six axis boundary points.  The outputs
     map(x) = B_0 + sum_k w_k B_k come from the basis rows (_basis_rows),
-    contracted with the rows (1, w) by one real product per chunk of
-    _CHUNK inputs; the last chunk starts early rather than run short.  The
-    guards are those of the KS search: ValueError for a map that is not
-    linear, LinAlgError for outputs that are not Hermitian.  Returns the
-    first input attaining the smallest output eigenvalue when it drops
-    below -cfg.tol.
+    contracted with the rows (1, w) (_ball_rows) in the KS search's loop,
+    _worst_defects, as a tile of one map.  The guards are those of the KS
+    search: ValueError for a map that is not linear, LinAlgError for
+    outputs that are not Hermitian.  Returns the first input attaining
+    the smallest output eigenvalue when it drops below -cfg.tol.
     """
     d = map_obj.out_dim
     basis = np.ascontiguousarray(_basis_rows(map_obj), dtype=complex).reshape(4, d * d)
-    skew = float(_template_skew(basis, d)[0])
-    # rows (1, w): the six axis points, then the ball draw
-    rows = np.ones((6 + cfg.n_samples, 4))
-    rows[:6, 1:] = np.concatenate([np.eye(3), -np.eye(3)])
-    rows[6:, 1:] = sample_unit_ball(cfg.n_samples, cfg.seed)
-
-    worst_val = np.inf
-    worst_idx = -1
-    done = 0  # inputs searched so far
-    for c in linalg.slices(len(rows), _CHUNK):
-        out = _defects(basis, d, rows[c], skew)[done - c.start :, 0]
-        eigs = _lowest_eigenvalues(out, min(-cfg.tol / 2, worst_val))
-        k = int(np.argmin(eigs))
-        if eigs[k] < worst_val:
-            worst_val = float(eigs[k])
-            worst_idx = done + k
-        done += len(out)
-    if worst_val < -cfg.tol:
-        return Witness(PauliElement(1.0, rows[worst_idx, 1:]), worst_val, "Positivity")
+    w = np.concatenate([np.eye(3), -np.eye(3), sample_unit_ball(cfg.n_samples, cfg.seed)])
+    vals, args = _worst_defects(basis, d, w, cfg.tol, _ball_rows)
+    if vals[0] < -cfg.tol:
+        return Witness(PauliElement(1.0, w[args[0]]), float(vals[0]), "Positivity")
     return None
 
 

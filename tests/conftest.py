@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ksq import oracle
+
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Random 2x2 unitary built from Givens rotations and phases."""
@@ -38,3 +40,9 @@ def no_certificates(templates, d, tol):
     operator, so every map is sampled in full."""
     p = templates.shape[1] // (d * d)
     return np.zeros(p, dtype=bool), np.full(p, np.nan)
+
+
+def ks_operator(m) -> np.ndarray:
+    """The KS operator H of a unital map m, a (3d, 3d) matrix, as the
+    oracle assembles it from its template rows."""
+    return oracle._ks_operators(oracle._ks_template(m), m.out_dim)[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import no_certificates
+from conftest import ks_operator, no_certificates
 from ksq import classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
@@ -29,7 +29,6 @@ from ksq.classify import (
     diag_ks_defect_supremum,
     diag_ks_residuals,
     ks_defect_min_eig,
-    ks_operator,
     ks_phi_diag_exact,
     ks_scalar_interval_holds,
     ks_tensor_diag_sufficient,
@@ -1212,6 +1211,26 @@ def test_stacked_deciders_match_their_one_row_calls(family, units):
                 # the stacked re-verification is ks_defect_min_eig's, bit for bit
                 x, violation = tri.witness
                 assert ks_defect_min_eig(QubitChannel(np.diag(row)), x) == violation
+
+
+def test_phi_stack_that_holds_skips_the_defect_supremum(monkeypatch):
+    # every row satisfies the three inequalities: no fallback, not even on zero rows
+    axis = np.linspace(-0.3, 0.3, 3)
+    rows = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    expected = [ks_phi_diag_exact(DiagonalParams(*row)) for row in rows]
+    calls = []
+    original = classify.diag_ks_defect_supremum
+
+    def spy(p):
+        calls.append(np.shape(p))
+        return original(p)
+
+    monkeypatch.setattr(classify, "diag_ks_defect_supremum", spy)
+    stacked = ks_phi_diag_exact(rows)
+    assert calls == []
+    for tri, ref in zip(stacked, expected, strict=True):
+        assert tri.status is Status.HOLDS_EXACT
+        _same_tristate(tri, ref)
 
 
 @pytest.mark.parametrize("family,grid", [("phi", 3), ("tdiag", 3), ("tlm", 4)])

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import apply, no_certificates, random_unitary
+from conftest import apply, ks_operator, no_certificates, random_unitary
 from ksq import classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
@@ -661,12 +661,25 @@ def _reference_searches(maps, cfg, monkeypatch):
         return [ks_violation_search(m, cfg) for m in maps]
 
 
-@pytest.mark.parametrize("case", ["wide-3-chunks", "tlm-oracle", "mixed-tile"])
+@pytest.mark.parametrize("case", ["wide-3-chunks", "pos-3-chunks", "tlm-oracle", "mixed-tile"])
 def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
     cfg = SampleConfig(n_samples=20000, seed=7)
     wide = TensorMap.scalar(ScalarPairParams(0.6, 0.55))
     clean = [TensorMap.scalar(ScalarPairParams(0.3, 0.2)),
              TensorMap.diagonal(DiagonalTensorParams(0.2, -0.1, 0.15))]
+    if case == "pos-3-chunks":
+        # the positivity search: later chunks are screened at the worst value so far
+        assert 6 + cfg.n_samples > 2 * oracle._CHUNK
+        # the first two fail at an axis point, the third at a draw of the second chunk
+        u = np.ones(3) / np.sqrt(3)
+        maps = [TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0])), wide,
+                TensorMap(0.6 * np.outer(u, u), 0.6 * np.outer(u, u)), clean[0]]
+        found = [positivity_violation_search(m, cfg) for m in maps]
+        reference = [_eigvalsh_positivity_search(m, cfg) for m in maps]
+        assert all(wit is not None for wit in found[:3]) and found[3] is None
+        for wit, ref in zip(found, reference, strict=True):
+            assert _same_witness(wit, ref)
+        return
     if case == "wide-3-chunks":
         # every defect lies in [-0.3225426, -0.3225]: ties test the first-index rule
         maps = [wide]
@@ -803,7 +816,7 @@ def test_skip_on_either_side_of_half_tol(monkeypatch):
     cfg = SampleConfig(n_samples=5000, seed=13)
     excess = (6e-10, 8.3e-10, 8.4e-10, 1e-9, 3e-9)
     maps = [_near_boundary_tlm(e) for e in excess]
-    lows = [float(linalg.batch_min_eigenvalue(classify.ks_operator(m))) for m in maps]
+    lows = [float(linalg.batch_min_eigenvalue(ks_operator(m))) for m in maps]
     assert lows[1] > -cfg.tol / 2 > lows[2]
     found, skipped = _search_recording_skips(maps, cfg, monkeypatch)
     assert skipped == [low >= -cfg.tol / 2 for low in lows] == [True, True, False, False, False]
@@ -828,7 +841,7 @@ def test_skip_margin_grows_with_the_entries(monkeypatch):
     # within that of the map itself (largest entry 2.3)
     for scale, skip in ((1.0, True), (2.5, False)):
         m = QubitChannel(scale * np.diag([1.0, 0.5, -0.3]))
-        low = float(linalg.batch_min_eigenvalue(classify.ks_operator(m)))
+        low = float(linalg.batch_min_eigenvalue(ks_operator(m)))
         cfg = SampleConfig(n_samples=2000, seed=3, tol=2 * (3e-12 - low))
         assert low >= -cfg.tol / 2
         found, skipped = _search_recording_skips([m], cfg, monkeypatch)
@@ -889,7 +902,7 @@ def test_skip_keeps_the_hermiticity_guard():
     # beyond the guard of _defects, keeps it in the search
     m = _SlightlyNonHermitianChannel()
     t = oracle._ks_template(m)
-    assert float(linalg.batch_min_eigenvalue(classify.ks_operator(m))) > 0.5
+    assert float(linalg.batch_min_eigenvalue(ks_operator(m))) > 0.5
     assert oracle._template_skew(t, 2)[0] * oracle._UNIT_ROWS > DEFECT_HERMITICITY
     assert not oracle._certified(t, 2, 1e-8)[0][0]
     with pytest.raises(np.linalg.LinAlgError, match="Hermiticity"):
