@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import fields, replace
 
@@ -1255,3 +1256,47 @@ def test_harness_calls_each_stacked_decider_once(family, grid, monkeypatch):
     assert sorted(calls) == sorted([(ks.__name__, (points, fam.arity)), (cp.__name__, (points, fam.arity))])
     # maps are built for the points the oracle checks, and for no others
     assert len(built) == points - report.resolved_by_oracle
+
+
+def _tristates_sha256(tristates) -> str:
+    """sha256 of each TriState's status, note and witness (w0, the bytes
+    of w, violation), in order."""
+    h = hashlib.sha256()
+    for tri in tristates:
+        h.update(f"{tri.status.value}|{tri.note}|".encode())
+        if tri.witness is not None:
+            x, violation = tri.witness
+            h.update(f"{complex(x.w0)!r}|{float(violation).hex()}|".encode() + x.w.tobytes())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# records past the seeded ones: for phi a shallow supremum whose own witness
+# misses, so the oracle is asked; for tlm a point only the component rule decides
+KS_EDGE_RECORDS = {"phi": [[-0.5000000005] * 3], "tlm": [[-0.25 - 5e-10] * 2]}
+# sha256 of the KS verdicts of phi on the 21^3 grid and of tlm on the 41^2
+# grid (one stacked call each), and of 50 seeded records of each plus its edge records
+KS_VERDICT_SHA256 = {
+    "phi": (
+        "34b75f4175a57b55201c25a64762ac5008950cbb2be796079e4c807c16bc3a0d",
+        "8021c03b302a6d51fbcb106ec0612b113f008ab3d4f5426b2d05dd2ac33cebaf",
+    ),
+    "tlm": (
+        "f02a228e13d5845ca40c30a94813339a00096033d43b79dfc830efc081e6d5b9",
+        "c8adeab467035c233e31d86a2a9602ac8caf447583c933df59ad3c320b5f7a53",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,points", [("phi", 21), ("tlm", 41)])
+def test_ks_verdict_hashes(family, points):
+    (ks, _), _, box = _STACKED[family]
+    fam = FAMILIES[family]
+    axis = np.linspace(*box, points)
+    grid = np.stack(np.meshgrid(*[axis] * fam.arity, indexing="ij"), axis=-1).reshape(-1, fam.arity)
+    records = np.random.default_rng(2121).uniform(*box, size=(50, fam.arity)).tolist()
+    digests = (
+        _tristates_sha256(ks(grid)),
+        _tristates_sha256(ks(fam.params(row)) for row in records + KS_EDGE_RECORDS[family]),
+    )
+    assert digests == KS_VERDICT_SHA256[family]
