@@ -65,7 +65,6 @@ import numpy as np
 
 from . import linalg, pauli
 from .channels import (
-    DiagonalParams,
     DiagonalTensorParams,
     QubitChannel,
     ScalarPairParams,
@@ -120,33 +119,6 @@ def all_hold(residuals, tol: float = DEFAULT.positivity):
     for r in residuals[1:]:
         ok = ok & (r <= tol)
     return ok
-
-
-@dataclass(frozen=True)
-class DiagKsTerms:
-    """Intermediate quantities of the diagonal KS inequalities, for one
-    DiagonalParams or (as arrays) for an (..., 3) stack of parameters."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    A: float
-    B: float
-    C: float
-
-    @classmethod
-    def from_params(cls, p) -> "DiagKsTerms":
-        lams = p.as_array() if isinstance(p, DiagonalParams) else np.asarray(p, dtype=float)
-        l1, l2, l3 = lams[..., 0], lams[..., 1], lams[..., 2]
-        d1, d2, d3 = l1 - l2 * l3, l2 - l1 * l3, l3 - l1 * l2
-        return cls(
-            alpha=abs(1.0 - l1 * l1),
-            beta=abs(1.0 - l2 * l2),
-            gamma=abs(1.0 - l3 * l3),
-            A=d1 * d1,
-            B=d2 * d2,
-            C=d3 * d3,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +211,16 @@ def _max_on_simplex(Q: np.ndarray):
     return np.max(value, axis=-1), np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
 
 
+def _diag_ks_terms(lams):
+    """(K, c) for an (..., 3) array of parameter rows: K = (A, B, C) with
+    A = (lam1 - lam2 lam3)^2, B = (lam2 - lam1 lam3)^2, C = (lam3 -
+    lam1 lam2)^2, and c = (alpha, beta, gamma) with alpha = |1 - lam1^2|
+    and so on, both (..., 3)."""
+    lams = np.asarray(lams, dtype=float)
+    d = lams - lams[..., [1, 0, 0]] * lams[..., [2, 2, 1]]
+    return d * d, np.abs(1.0 - lams * lams)
+
+
 # _THIRD[i, j] = k for the weight a_k = 4 K_k n_i n_j of the moduli pair (i, j), K = (A, B, C)
 _THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
@@ -246,11 +228,11 @@ _THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 def diag_ks_defect_supremum(p):
     """Exact worst case of the KS defect for a diagonal channel.
 
-    p is a DiagonalParams, or an (..., 3) array of (lam1, lam2, lam3).
-    Returns (sup, n): sup is the supremum over unit-norm inputs of LHS^2 -
-    RHS^2 of the bracket inequality (positive means the channel is not
-    Kadison-Schwarz), n the maximising moduli; a float and a (3,) array
-    for DiagonalParams, stacked per point (bit for bit) otherwise.
+    p is an (..., 3) array of (lam1, lam2, lam3).  Returns (sup, n): sup
+    (...) is the supremum over unit-norm inputs of LHS^2 - RHS^2 of the
+    bracket inequality (positive means the channel is not
+    Kadison-Schwarz), n (..., 3) the maximising moduli; each point gets
+    the bits it gets alone.
 
     At moduli n the worst phases give _phase_supremum(a) - gain^2, with
     a1 = 4A n2 n3, a2 = 4B n1 n3, a3 = 4C n1 n2.  That is the largest of
@@ -261,9 +243,7 @@ def diag_ks_defect_supremum(p):
     (A, 0, C)/(A + C), (A, B, 0)/(A + B).  _max_on_simplex maximises each
     form in barycentric coordinates of its triangle.
     """
-    t = DiagKsTerms.from_params(p)
-    K = np.stack([t.A, t.B, t.C], axis=-1)
-    c = np.stack([t.alpha, t.beta, t.gamma], axis=-1)
+    K, c = _diag_ks_terms(p)
     gain2 = c[..., :, None] * c[..., None, :]
     off = 1.0 - np.eye(3)
     s = 2.0 * K[..., _THIRD] * off  # n^T s n = a1 + a2 + a3
@@ -282,25 +262,21 @@ def diag_ks_defect_supremum(p):
     k = np.argmax(value, axis=-1)
     b = np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
     n = np.where((k == 3)[..., None], _matmul3(V, b[..., :, None])[..., 0], b)
-    sup = np.max(value, axis=-1)
-    return (float(sup), n) if isinstance(p, DiagonalParams) else (sup, n)
+    return np.max(value, axis=-1), n
 
 
 def ks_witness_for_diag(p, n):
-    """Unit-norm input with the worst KS defect at the given moduli n.
-
-    A PauliElement for a DiagonalParams; for an (..., 3) stack of
-    parameter rows and moduli, the (..., 3) inputs w of x = w.s.
-    """
-    terms = DiagKsTerms.from_params(p)
+    """Unit-norm inputs with the worst KS defect at the given moduli: for
+    (..., 3) arrays p of parameter rows and n of moduli, the (..., 3)
+    inputs w of x = w.s."""
+    K, _ = _diag_ks_terms(p)
     n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
     _, d1, d2 = _phase_supremum(
-        4.0 * terms.A * n2 * n3, 4.0 * terms.B * n1 * n3, 4.0 * terms.C * n1 * n2
+        4.0 * K[..., 0] * n2 * n3, 4.0 * K[..., 1] * n1 * n3, 4.0 * K[..., 2] * n1 * n2
     )
     # d1 = th2 - th3, d2 = th3 - th1 with th1 = 0
     phases = np.stack([np.zeros_like(d1), d1 + d2, d2], axis=-1)
-    w = np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * phases)
-    return PauliElement(0.0, w) if isinstance(p, DiagonalParams) else w
+    return np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * phases)
 
 
 def _defect_min_eigs(m_sq, m_x, tols: Tolerances) -> np.ndarray:
@@ -666,21 +642,6 @@ def ks_tlm_inequality(lam, mu, tol: float = DEFAULT.positivity):
     return lhs <= rhs + tol, lhs, rhs
 
 
-def ks_tlm_sufficient(p, tols: Tolerances = DEFAULT):
-    """Sufficient KS test for the scalar family; a ScalarPairParams or an
-    (N, 2) stack of rows (see ks_phi_diag_exact)."""
-    (lam, mu), one = _columns(p)
-    return _each(
-        one,
-        lambda h, a, b: TriState(
-            Status.HOLDS_SUFFICIENT, f"scalar KS inequality holds ({a:.6g} <= {b:.6g})"
-        ) if h else TriState(
-            Status.INCONCLUSIVE, f"scalar KS inequality violated ({a:.6g} > {b:.6g}); sufficient-only"
-        ),
-        *ks_tlm_inequality(lam, mu, tols.positivity),
-    )
-
-
 def ks_scalar_interval_holds(lam, tol: float = DEFAULT.positivity):
     """lam in [-1/4, 1/2] (closed endpoints), broadcasting.
 
@@ -703,12 +664,20 @@ def ks_tlm(p, tols: Tolerances = DEFAULT):
     both = TriState(
         Status.HOLDS_SUFFICIENT, "both scalar components are KS, so their tensor combination is"
     )
-    return _each(
-        one,
-        lambda tri, c: both if tri.status is Status.INCONCLUSIVE and c else tri,
-        ks_tlm_sufficient(p, tols),
-        components,
-    )
+
+    def verdict(holds, lhs, rhs, comps) -> TriState:
+        if holds:
+            return TriState(
+                Status.HOLDS_SUFFICIENT, f"scalar KS inequality holds ({lhs:.6g} <= {rhs:.6g})"
+            )
+        if comps:
+            return both
+        return TriState(
+            Status.INCONCLUSIVE,
+            f"scalar KS inequality violated ({lhs:.6g} > {rhs:.6g}); sufficient-only",
+        )
+
+    return _each(one, verdict, *ks_tlm_inequality(lam, mu, tols.positivity), components)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from ksq.channels import (
     choi_matrix_tensor,
 )
 from ksq.classify import (
-    DiagKsTerms,
     Status,
     cp_choi_numeric,
     cp_phi_exact,
@@ -34,7 +34,7 @@ from ksq.classify import (
     ks_scalar_interval_holds,
     ks_tensor_diag_sufficient,
     ks_tensor_sufficient,
-    ks_tlm_sufficient,
+    ks_tlm_inequality,
     ks_witness_for_diag,
     positive_tensor,
     tensor_positivity_steps,
@@ -85,7 +85,7 @@ def test_ks_phi_diag_sufficiency_gap():
     assert np.all(diag_ks_residuals(-0.5, -0.5, -0.5) > 0.5)
     tri = ks_phi_diag_exact(p)
     assert tri.status is Status.HOLDS_EXACT
-    sup, _ = diag_ks_defect_supremum(p)
+    sup, _ = diag_ks_defect_supremum(p.as_array())
     assert abs(sup) < 1e-12
 
 
@@ -120,7 +120,7 @@ def test_defect_supremum_against_sampling(rng):
     for lams in ([0.9, -0.7, 0.2], [-0.5, -0.4, -0.5], [0.3, 0.9, -0.8]):
         p = DiagonalParams(*lams)
         ch = QubitChannel.diagonal(p)
-        sup, n = diag_ks_defect_supremum(p)
+        sup, n = diag_ks_defect_supremum(p.as_array())
         z = rng.normal(size=(4000, 6))
         w = z[:, :3] + 1j * z[:, 3:]
         w /= np.linalg.norm(w, axis=1)[:, None]
@@ -130,7 +130,7 @@ def test_defect_supremum_against_sampling(rng):
         # convert defect eigenvalue to the squared-inequality margin scale:
         # just check sign consistency and witness quality instead
         if sup > 1e-9:
-            witness = ks_witness_for_diag(p, n)
+            witness = PauliElement(0.0, ks_witness_for_diag(p.as_array(), n))
             assert ks_defect_min_eig(ch, witness) < -1e-9
         else:
             assert max(sampled) < 1e-9
@@ -197,8 +197,18 @@ def test_ks_probe_vectors_read_only():
     assert classify.ks_probe_vectors() is probes
 
 
+def diag_terms(lams) -> SimpleNamespace:
+    """classify's diagonal KS terms of (..., 3) parameter rows under the
+    paper's names: A, B, C = (lam_k - lam_i lam_j)^2, alpha, beta, gamma =
+    |1 - lam_k^2|."""
+    K, c = classify._diag_ks_terms(lams)
+    return SimpleNamespace(
+        A=K[..., 0], B=K[..., 1], C=K[..., 2], alpha=c[..., 0], beta=c[..., 1], gamma=c[..., 2]
+    )
+
+
 def test_diag_ks_terms_record():
-    t = DiagKsTerms.from_params(DiagonalParams(0.6, 0.5, 0.0))
+    t = diag_terms(DiagonalParams(0.6, 0.5, 0.0).as_array())
     assert t.alpha == pytest.approx(0.64)
     assert t.beta == pytest.approx(0.75)
     assert t.gamma == pytest.approx(1.0)
@@ -210,7 +220,7 @@ def test_diag_ks_terms_record():
 # --- exact diagonal KS supremum ---------------------------------------------
 
 
-def defect_value(terms: DiagKsTerms, n: np.ndarray) -> np.ndarray:
+def defect_value(terms: SimpleNamespace, n: np.ndarray) -> np.ndarray:
     """Worst squared-bracket mass minus squared gain at moduli n (>=0 fails KS)."""
     n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
     f, _, _ = _phase_supremum(
@@ -254,7 +264,7 @@ def reference_supremum(p: DiagonalParams, resolution: int = 160):
     It approaches the supremum from below, so the exact value must not
     fall under it and may exceed it only by the search's resolution.
     """
-    terms = DiagKsTerms.from_params(p)
+    terms = diag_terms(p.as_array())
     grid = _simplex_grid(resolution)
     vals = defect_value(terms, grid)
     order = np.argsort(vals)[::-1][:4]
@@ -270,7 +280,7 @@ def reference_supremum(p: DiagonalParams, resolution: int = 160):
 
 def _assert_matches_reference(lams):
     p = DiagonalParams(*lams)
-    exact, _ = diag_ks_defect_supremum(p)
+    exact, _ = diag_ks_defect_supremum(p.as_array())
     ref, _ = reference_supremum(p)
     assert ref - 1e-12 <= exact <= ref + 1e-8, (lams, exact, ref)
 
@@ -304,7 +314,7 @@ def test_defect_supremum_is_attained_on_grid_fallback():
     sup, n = diag_ks_defect_supremum(pts)
     assert sup.shape == (len(pts),) and n.shape == (len(pts), 3)
     assert np.all(n >= 0.0) and np.allclose(n.sum(axis=-1), 1.0, atol=1e-12)
-    value = defect_value(DiagKsTerms.from_params(pts), n)
+    value = defect_value(diag_terms(pts), n)
     assert np.max(np.abs(value - sup)) <= 1e-12
 
 
@@ -323,15 +333,16 @@ def test_defect_supremum_stack_equals_points(rng):
     )
     sup, n = diag_ks_defect_supremum(pts)
     for row, s, m in zip(pts, sup, n):
-        one, n_one = diag_ks_defect_supremum(DiagonalParams(*row))
-        assert isinstance(one, float)
+        # a lone (3,) row, as ks_phi_diag_exact passes a record
+        one, n_one = diag_ks_defect_supremum(row)
+        assert np.ndim(one) == 0
         assert one == s and np.array_equal(n_one, m), row
     grid_sup, grid_n = diag_ks_defect_supremum(pts[:60].reshape(4, 15, 3))
     assert np.array_equal(grid_sup.ravel(), sup[:60])
     assert np.array_equal(grid_n.reshape(60, 3), n[:60])
 
 
-def _pieces_max(terms: DiagKsTerms, n: np.ndarray) -> float:
+def _pieces_max(terms: SimpleNamespace, n: np.ndarray) -> float:
     """The largest of the four quadratic pieces valid at moduli n."""
     A, B, C = terms.A, terms.B, terms.C
     n1, n2, n3 = n
@@ -363,7 +374,7 @@ def _pieces_max(terms: DiagKsTerms, n: np.ndarray) -> float:
 def test_defect_supremum_near_interior_region_lines(lams, side, t, offset):
     # moduli within 1e-6 of a side of the interior piece's triangle, where
     # the phase supremum switches between the pair and interior forms
-    terms = DiagKsTerms.from_params(DiagonalParams(*lams))
+    terms = diag_terms(np.array(lams))
     A, B, C = terms.A, terms.B, terms.C
     assume(min(A, B, C) > 1e-3)
     vertices = np.array([[0, B, C], [A, 0, C], [A, B, 0]]) / np.array([[B + C], [A + C], [A + B]])
@@ -374,7 +385,7 @@ def test_defect_supremum_near_interior_region_lines(lams, side, t, offset):
     n /= n.sum()
     value = float(defect_value(terms, n[None, :])[0])
     assert _pieces_max(terms, n) == pytest.approx(value, abs=1e-12)
-    assert diag_ks_defect_supremum(DiagonalParams(*lams))[0] >= value - 1e-12
+    assert diag_ks_defect_supremum(np.array(lams))[0] >= value - 1e-12
     _assert_matches_reference(lams)
 
 
@@ -624,9 +635,10 @@ def test_ks_tensor_diag_sufficient_cases():
 
 
 def test_ks_tlm_sufficient_cases():
-    assert ks_tlm_sufficient(ScalarPairParams(0, 0)).status is Status.HOLDS_SUFFICIENT
-    assert ks_tlm_sufficient(ScalarPairParams(0.5, 0.5)).status is Status.HOLDS_SUFFICIENT
-    tri = ks_tlm_sufficient(ScalarPairParams(0.5, -0.3))
+    assert ks_tlm_inequality(0.0, 0.0)[0]
+    assert ks_tlm_inequality(0.5, 0.5)[0]
+    # outside the component square, so the inequality alone decides
+    tri = classify.ks_tlm(ScalarPairParams(0.5, -0.3))
     assert tri.status is Status.INCONCLUSIVE
     assert "0.48" in tri.note and "0.32" in tri.note
 
@@ -635,7 +647,7 @@ def test_ks_tlm_component_rule():
     # just outside the corner (-1/4, -1/4) the scalar inequality fails by more
     # than its slack while both components stay in [-1/4, 1/2] within theirs
     p = ScalarPairParams(-0.25 - 5e-10, -0.25 - 5e-10)
-    assert ks_tlm_sufficient(p).status is Status.INCONCLUSIVE
+    assert not ks_tlm_inequality(p.lam, p.mu)[0]
     tri = classify.ks_tlm(p)
     assert tri.status is Status.HOLDS_SUFFICIENT and "components" in tri.note
     assert classify.ks_tlm(ScalarPairParams(0.5, -0.3)).status is Status.INCONCLUSIVE
@@ -647,7 +659,7 @@ def test_scalar_ks_implies_tensor_ks(rng):
     # generic tensor sufficient test with A = lam*1, C = mu*1
     for _ in range(30):
         lam, mu = rng.uniform(-0.6, 0.6, size=2)
-        if ks_tlm_sufficient(ScalarPairParams(lam, mu)).status is Status.HOLDS_SUFFICIENT:
+        if ks_tlm_inequality(lam, mu)[0]:
             tri = ks_tensor_sufficient(TensorMap.scalar(ScalarPairParams(lam, mu)), 800, seed=2)
             assert tri.status is Status.HOLDS_SUFFICIENT, (lam, mu)
 
