@@ -64,7 +64,7 @@ tile.  The positivity search has no such skip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -486,11 +486,7 @@ class HarnessReport:
     agree: int = 0
     resolved_by_oracle: int = 0
     discrepancies: int = 0
-    details: list = None
-
-    def __post_init__(self):
-        if self.details is None:
-            self.details = []
+    details: list = field(default_factory=list)
 
     def note(self, kind: str, where, info: str) -> None:
         self.details.append((kind, where, info))
