@@ -211,12 +211,11 @@ def _max_on_simplex(Q: np.ndarray):
     return np.max(value, axis=-1), np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
 
 
-def _diag_ks_terms(lams):
+def _diag_ks_terms(lams: np.ndarray):
     """(K, c) for an (..., 3) array of parameter rows: K = (A, B, C) with
     A = (lam1 - lam2 lam3)^2, B = (lam2 - lam1 lam3)^2, C = (lam3 -
     lam1 lam2)^2, and c = (alpha, beta, gamma) with alpha = |1 - lam1^2|
     and so on, both (..., 3)."""
-    lams = np.asarray(lams, dtype=float)
     d = lams - lams[..., [1, 0, 0]] * lams[..., [2, 2, 1]]
     return d * d, np.abs(1.0 - lams * lams)
 
