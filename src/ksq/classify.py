@@ -39,9 +39,10 @@ operator H that carries it is positive semidefinite, so is every defect
 (the converse fails: KS only needs H >= 0 on product vectors).  It is
 the oracle's test, and the oracle's one decision: a map whose
 lambda_min(H), less a rounding margin, is >= -tol/2 is clean without
-sampling (``oracle.ks_certified``), and ``classify_full`` asks it first
-for any map whose decider said INCONCLUSIVE, so the note gives
-lambda_min(H).
+sampling (``oracle.ks_certified``).  ``classify_full`` asks it first for
+any map whose decider said INCONCLUSIVE, so the note gives
+lambda_min(H); ``oracle.ks_search`` builds the map's template once for
+the KS operator and the search.
 The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
 The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
 which calls them directly, still counts exactly the points where the
@@ -905,8 +906,7 @@ def classify_full(
     pos = deciders.positive(params, m, tols, cfg)
     ks = deciders.ks(params, m, tols, cfg)
     if ks.status is Status.INCONCLUSIVE:
-        low = oracle.ks_certified(m, cfg)
-        wit = None if low is not None else oracle.ks_violation_search(m, cfg)
+        low, wit = oracle.ks_search(m, cfg)
         if wit is not None:
             ks = TriState(
                 Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit

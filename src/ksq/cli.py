@@ -311,11 +311,10 @@ def cmd_oracle(args) -> int:
         return EXIT_PARSE
     map_obj = map_for_descriptor(kind, params)
     cfg = oracle.SampleConfig(n_samples=args.samples, seed=args.seed, tol=args.tol)
-    low = oracle.ks_certified(map_obj, cfg)
+    low, wit = oracle.ks_search(map_obj, cfg)
     if low is not None:
         print(f"no violation: {oracle.CERTIFIED_NOTE.format(low)}")
         return EXIT_OK
-    wit = oracle.ks_violation_search(map_obj, cfg)
     if wit is None:
         print(f"no violation found in {args.samples} samples")
         return EXIT_OK

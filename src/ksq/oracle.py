@@ -8,7 +8,9 @@ cross-validate the closed-form classifiers.
 
 Sampling is split into seed-derived chunks (np.random.SeedSequence
 spawning), so the merged worst witness is deterministic for a fixed seed
-regardless of how chunks are scheduled.
+regardless of how chunks are scheduled.  Each sampler writes every
+chunk's draw into one preallocated output and scales it there, in one
+pass.
 
 The KS search takes unital maps only, as every map in scope is.  For a
 linear, adjoint-preserving, unital map the defect does not change under
@@ -59,7 +61,16 @@ is within the Hermiticity guard, gets None and joins no tile; when no
 map is left, the sphere is not drawn.  Every defect eigenvalue the search
 would compute for it lies at or above -tol/2, so an unscreened search
 returns None too, and the other maps' witnesses do not depend on their
-tile.  The positivity search has no such skip.
+tile.  ks_search gives classify_full and `ksq oracle` both the
+certificate and the search from one template build.
+
+The positivity search skips a map in the same way, by its Choi matrix
+J, assembled from the four basis rows it holds (_choi_certified): every
+input 1 + w.s is positive with trace 2, so its output is >= 2
+lambda_min(J).  A map whose computed lambda_min(J), less a rounding
+margin, is >= -tol/4, and whose basis skew is within the Hermiticity
+guard, gets None without drawing the ball.  It is CP up to that slack,
+and CP => positive (M.-D. Choi, Linear Algebra Appl. 10 (1975) 285-290).
 """
 
 from __future__ import annotations
@@ -117,30 +128,40 @@ class Witness:
 
 
 def _substreams(n: int, seed: int):
-    """(generator, rows) pairs covering n rows, one seed-derived substream per _CHUNK rows."""
+    """(generator, rows) pairs covering range(n), one seed-derived substream per _CHUNK rows."""
     for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + _CHUNK - 1) // _CHUNK)):
-        yield np.random.default_rng(child), min(_CHUNK, n - i * _CHUNK)
+        yield np.random.default_rng(child), slice(i * _CHUNK, min(n, (i + 1) * _CHUNK))
 
 
 def sample_unit_sphere(n: int, seed: int) -> np.ndarray:
-    """n deterministic points on the unit sphere of C^3 (chunked substreams)."""
-    chunks = []
-    for g, take in _substreams(n, seed):
-        z = g.normal(size=(take, 6))
-        w = z[:, :3] + 1j * z[:, 3:]
-        w /= np.linalg.norm(w, axis=1)[:, None]
-        chunks.append(w)
-    return np.concatenate(chunks)
+    """n deterministic points on the unit sphere of C^3 (chunked substreams).
+
+    Each chunk's six normals per row, real parts then imaginary ones, are
+    written into the output and scaled there.  The norm is that of the
+    complex rows, whose products numpy may round with fused multiply-adds;
+    the scaling multiplies by its reciprocal in real arithmetic, as numpy
+    divides a complex number by a real one.
+    """
+    out = np.empty((n, 3), dtype=complex)
+    for g, rows in _substreams(n, seed):
+        w = out[rows]
+        z = g.normal(size=(len(w), 6))
+        w.real, w.imag = z[:, :3], z[:, 3:]
+        out.view(float)[rows] *= 1.0 / np.linalg.norm(w, axis=1)[:, None]
+    return out
 
 
 def sample_unit_ball(n: int, seed: int) -> np.ndarray:
-    """n deterministic real vectors uniform in the closed unit ball."""
-    chunks = []
-    for g, take in _substreams(n, seed):
-        v = g.normal(size=(take, 3))
-        r = g.random(take) ** (1.0 / 3.0)
-        chunks.append(v / np.linalg.norm(v, axis=1)[:, None] * r[:, None])
-    return np.concatenate(chunks)
+    """n deterministic real vectors uniform in the closed unit ball
+    (chunked substreams), each chunk drawn and scaled in the output."""
+    out = np.empty((n, 3))
+    for g, rows in _substreams(n, seed):
+        v = out[rows]
+        g.standard_normal(out=v)  # the draws of g.normal(size=v.shape)
+        r = g.random(len(v)) ** (1.0 / 3.0)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v *= r[:, None]
+    return out
 
 
 # seed of the inputs on which each map's template is checked against evaluate_batch
@@ -151,7 +172,8 @@ _PAIRS = np.triu_indices(3, 1)
 _EPS = np.zeros((3, 3, 3))
 _EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _EPS[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-# max_n sum_j |r_nj| over _monomials rows at |w| = 1 is 1 + sqrt(2)
+# max_n sum_j |r_nj| is 1 + sqrt(2) over _monomials rows at |w| = 1, and
+# 1 + sqrt(3) over _ball_rows at |w| <= 1
 _UNIT_ROWS = 6.0
 
 
@@ -266,6 +288,37 @@ def _certified(templates: np.ndarray, d: int, tol: float):
     margin = 64 * (3 * d) ** 2 * np.finfo(float).eps * scale + 8 * d * skew
     low = linalg.batch_min_eigenvalue(_ks_operators(templates, d))
     return (low - margin >= -tol / 2) & (skew * _UNIT_ROWS <= DEFECT_HERMITICITY), low
+
+
+def _choi_certified(basis: np.ndarray, d: int, tol: float) -> bool:
+    """True when the map's Choi matrix J puts every output eigenvalue the
+    positivity search would compute at or above -tol/2.
+
+    J = [[map(e11), map(e12)], [map(e21), map(e22)]], laid out as
+    channels._unit_blocks, has the blocks (B_0 + B_3)/2, (B_1 + i B_2)/2,
+    (B_1 - i B_2)/2 and (B_0 - B_3)/2 of the basis rows (4, d*d).  For an
+    input x >= 0, <xi, map(x) xi> = tr J (x^T (x) xi xi*) >= lambda_min(J)
+    tr x for unit xi, and every input 1 + w.s with |w| <= 1 is positive
+    with trace 2, so its output is >= 2 lambda_min(J).  A map is certified
+    when 2 (lambda_min(J) - margin) >= -tol/2, with lambda_min(J) as LAPACK
+    computes it, and its basis skew is within the guard of _defects.  With
+    s the map's largest basis entry, every entry of J is at most s and
+    ||J|| <= 2d s.  The margin 64 (2d)^2 eps s covers the assembly of J
+    (eps s per entry), LAPACK's error on J (O(2d eps ||J||)) and half the
+    error of an output's eigenvalue: the product's rounding (80 eps s per
+    entry and unit of sum_j |r_j| <= 1 + sqrt(3) < _UNIT_ROWS, as in
+    _template_skew: under 480 d eps s in norm) and the eigensolver's
+    (O(d eps ||map(x)||), ||map(x)|| <= (1 + sqrt(3)) d s).  8 d skew more
+    covers the non-Hermitian parts of J and of the outputs, which the
+    eigensolvers read from one triangle.  As in _certified, the margin
+    grows with s.
+    """
+    skew = float(_template_skew(basis, d)[0])
+    margin = 64 * (2 * d) ** 2 * np.finfo(float).eps * float(np.max(np.abs(basis))) + 8 * d * skew
+    b0, b1, b2, b3 = basis.reshape(4, d, d)
+    choi = 0.5 * np.block([[b0 + b3, b1 + 1j * b2], [b1 - 1j * b2, b0 - b3]])
+    low = linalg.batch_min_eigenvalue(choi[None])[0]
+    return bool(2 * (low - margin) >= -tol / 2 and skew * _UNIT_ROWS <= DEFECT_HERMITICITY)
 
 
 def _defects(templates: np.ndarray, d: int, mono: np.ndarray, skew=None) -> np.ndarray:
@@ -383,7 +436,7 @@ def _worst_defects(templates: np.ndarray, d: int, w: np.ndarray, tol: float, mon
     return best, arg
 
 
-# how a caller reports a map that ks_certified certifies, formatted with lambda_min(H)
+# how a caller reports a map that its KS operator certifies, formatted with lambda_min(H)
 CERTIFIED_NOTE = (
     "the KS operator certifies every defect (lambda_min(H) = {:.6g} >= -tol/2), no sample drawn"
 )
@@ -398,15 +451,9 @@ def ks_certified(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[float]
     return float(low[0]) if ok[0] else None
 
 
-def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
-    """ks_violation_search for every map of a list, on one shared draw.
-
-    Returns one Optional[Witness] per map, in order.  Maps with the same
-    output dimension share each template contraction, so a block of
-    inputs costs one matrix product for all of them.  A map that its KS
-    operator certifies (_certified) is None without sampling; when every
-    map is, nothing is drawn.
-    """
+def _ks_search_many(maps, cfg: SampleConfig):
+    """(lows, witnesses) of a list of maps, one template build each: lows
+    holds ks_certified's value per map, witnesses ks_violation_search's."""
     maps = list(maps)
     templates = [_ks_template(m) for m in maps]
 
@@ -418,15 +465,20 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
     groups = {}
     for i, m in enumerate(maps):
         groups.setdefault(m.out_dim, []).append(i)
+    lows = [None] * len(maps)
     tiles = []
     for d, idx in groups.items():
-        parts = [idx[lo : lo + _TILE] for lo in range(0, len(idx), _TILE)]
-        ok = np.concatenate([_certified(stack(part), d, cfg.tol)[0] for part in parts])
-        idx = [i for i, skip in zip(idx, ok) if not skip]
-        tiles += [(d, idx[lo : lo + _TILE]) for lo in range(0, len(idx), _TILE)]
+        left = []
+        for part in (idx[lo : lo + _TILE] for lo in range(0, len(idx), _TILE)):
+            for i, ok, low in zip(part, *_certified(stack(part), d, cfg.tol)):
+                if ok:
+                    lows[i] = float(low)
+                else:
+                    left.append(i)
+        tiles += [(d, left[lo : lo + _TILE]) for lo in range(0, len(left), _TILE)]
     found = [None] * len(maps)
     if not tiles:
-        return found
+        return lows, found
 
     probes = classify.ks_probe_vectors()
     probes = probes / np.linalg.norm(probes, axis=1)[:, None]
@@ -437,7 +489,19 @@ def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
             if v < -cfg.tol:
                 # a copy: a view of w would keep the whole draw alive
                 found[i] = Witness(PauliElement(0j, w[a].copy()), float(v), "KS")
-    return found
+    return lows, found
+
+
+def ks_violation_search_many(maps, cfg: SampleConfig = SampleConfig()) -> list:
+    """ks_violation_search for every map of a list, on one shared draw.
+
+    Returns one Optional[Witness] per map, in order.  Maps with the same
+    output dimension share each template contraction, so a block of
+    inputs costs one matrix product for all of them.  A map that its KS
+    operator certifies (_certified) is None without sampling; when every
+    map is, nothing is drawn.
+    """
+    return _ks_search_many(maps, cfg)[1]
 
 
 def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[Witness]:
@@ -453,6 +517,14 @@ def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional
     return ks_violation_search_many([map_obj], cfg)[0]
 
 
+def ks_search(map_obj, cfg: SampleConfig = SampleConfig()):
+    """(ks_certified, ks_violation_search) of one map from one template
+    build: (lambda_min(H), None) when its KS operator certifies it, else
+    (None, the search's witness or None)."""
+    (low,), (wit,) = _ks_search_many([map_obj], cfg)
+    return low, wit
+
+
 def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional[Witness]:
     """Search for a positive input mapped to a non-positive output.
 
@@ -463,10 +535,14 @@ def positivity_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> 
     _worst_defects, as a tile of one map.  The guards are those of the KS
     search: ValueError for a map that is not linear, LinAlgError for
     outputs that are not Hermitian.  Returns the first input attaining
-    the smallest output eigenvalue when it drops below -cfg.tol.
+    the smallest output eigenvalue when it drops below -cfg.tol; None
+    without sampling when the map's Choi matrix puts every such output
+    eigenvalue at or above -cfg.tol/2 (_choi_certified).
     """
     d = map_obj.out_dim
     basis = np.ascontiguousarray(_basis_rows(map_obj), dtype=complex).reshape(4, d * d)
+    if _choi_certified(basis, d, cfg.tol):
+        return None
     w = np.concatenate([np.eye(3), -np.eye(3), sample_unit_ball(cfg.n_samples, cfg.seed)])
     vals, args = _worst_defects(basis, d, w, cfg.tol, _ball_rows)
     if vals[0] < -cfg.tol:

@@ -42,6 +42,12 @@ def no_certificates(templates, d, tol):
     return np.zeros(p, dtype=bool), np.full(p, np.nan)
 
 
+def no_choi_certificate(basis, d, tol):
+    """Stands in for oracle._choi_certified: no map is certified by its
+    Choi matrix, so every positivity search samples."""
+    return False
+
+
 def ks_operator(m) -> np.ndarray:
     """The KS operator H of a unital map m, a (3d, 3d) matrix, as the
     oracle assembles it from its template rows."""

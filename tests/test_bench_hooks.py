@@ -15,10 +15,11 @@ def test_tracer_installs_and_workloads_import(monkeypatch):
     tracing = importlib.import_module("tracing")
     importlib.import_module("workloads")
     from ksq import classify, oracle
-    from ksq.channels import DiagonalParams, QubitChannel, TensorMap, conjugate_by_unitaries
+    from ksq.channels import DiagonalParams, QubitChannel, ScalarPairParams, TensorMap, conjugate_by_unitaries
 
     # a conjugated transpose fails KS, so its KS operator certifies nothing
-    # and the search draws; the tensor map's positivity is searched
+    # and the search draws; the tensor map is positive but not CP, so its
+    # Choi matrix certifies nothing and its positivity search draws too
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     transpose = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
     closure = conjugate_by_unitaries(transpose, hadamard, np.eye(2))
@@ -28,7 +29,7 @@ def test_tracer_installs_and_workloads_import(monkeypatch):
     try:
         classify.classify_full("tmat:" + ",".join(["0.1"] * 18), n_samples=64)
         assert oracle.ks_violation_search(closure, cfg) is not None
-        oracle.positivity_violation_search(TensorMap(0.3 * np.eye(3), 0.2 * np.eye(3)), cfg)
+        oracle.positivity_violation_search(TensorMap.scalar(ScalarPairParams(-0.5, 0.3)), cfg)
     finally:
         tracer.uninstall()
     names = {span[tracing.NAME] for span in tracer.spans}

@@ -483,6 +483,16 @@ def _dense_sup(A, C, n: int = 200_000, seed: int = 0) -> float:
     return float(np.max(np.linalg.norm(w @ A.T, axis=-1) + np.linalg.norm(w @ C.T, axis=-1)))
 
 
+@pytest.mark.xfail(strict=True, reason="tensor_positivity_steps stalls here with a 6.3e-11 bracket")
+def test_tensor_positivity_steps_closes_the_stalled_bracket():
+    # a falsifying example of the hypothesis test below: from its 16th
+    # step on, the lower bound stays 6.3e-11 under the supremum
+    A = np.array([[0, 0, 1], [1, 0, 6.2e-52], [1, 3.3040891189505197e-10, 0]])
+    C = np.array([[0, 1, 0], [0.5, 0, 0], [0, 0, 0]])
+    upper, t, lower, w = _exact_sup(A, C)
+    assert upper - lower <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
 def test_tensor_positivity_steps_against_dense_sample(entries):
@@ -985,6 +995,9 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
 
     monkeypatch.setattr(classify, "ks_tensor_sufficient", refuse("sampled test"))
     monkeypatch.setattr(oracle, "ks_violation_search", refuse("oracle"))
+    # classify_full's certificate and search share one call, which draws
+    # only for a map that its KS operator leaves undecided
+    monkeypatch.setattr(oracle, "sample_unit_sphere", refuse("oracle"))
     # tmat: the decider has no test of its own, the oracle's KS operator decides
     tri = classify.DECIDERS["tmat"].ks(None, None, DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
@@ -1023,18 +1036,19 @@ def test_classify_full_note_when_the_oracle_draws_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "descriptor,builds,status",
+    "descriptor,certified,status",
     [
-        # certified by its KS operator: one template, no search
-        ("tmat:" + ",".join(["0.05"] * 18), 1, Status.HOLDS_SUFFICIENT),
+        # certified by its KS operator: no search
+        ("tmat:" + ",".join(["0.05"] * 18), True, Status.HOLDS_SUFFICIENT),
         # one of the scalar pairs that the oracle fails
-        ("tlm:-0.75242916117889425,0.12479031303383681", 2, Status.FAILS),
+        ("tlm:-0.75242916117889425,0.12479031303383681", False, Status.FAILS),
         # clean, but its KS operator certifies nothing: the search samples it
-        ("tdiag:-0.43,-0.29,0", 2, Status.HOLDS_SUFFICIENT),
+        ("tdiag:-0.43,-0.29,0", False, Status.HOLDS_SUFFICIENT),
     ],
     ids=["certified-tmat", "tlm-oracle", "clean-uncertified-tdiag"],
 )
-def test_classify_full_builds_each_template_at_most_twice(descriptor, builds, status, monkeypatch):
+def test_classify_full_builds_each_template_at_most_twice(descriptor, certified, status, monkeypatch):
+    # the KS operator and the search share one build, so it is once
     calls = []
     original = oracle._basis_rows
 
@@ -1045,9 +1059,8 @@ def test_classify_full_builds_each_template_at_most_twice(descriptor, builds, st
     monkeypatch.setattr(oracle, "_basis_rows", recording)
     v = classify_full(descriptor)
     assert v.kadison_schwarz.status is status
-    assert len(calls) == builds
-    certified = v.kadison_schwarz.note.startswith("oracle found no violation: the KS operator")
-    assert certified == (builds == 1)
+    assert len(calls) == 1
+    assert v.kadison_schwarz.note.startswith("oracle found no violation: the KS operator") == certified
 
 
 def test_check_hierarchy_rejects_sufficient_ks_without_positivity():

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import apply, ks_operator, no_certificates, random_unitary
-from ksq import classify, linalg, oracle
+from conftest import apply, ks_operator, no_certificates, no_choi_certificate, random_unitary
+from ksq import channels, classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
     DiagonalParams,
@@ -54,6 +54,43 @@ def test_sampler_determinism():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
     ball = sample_unit_ball(5000, seed=42)
     assert np.max(np.linalg.norm(ball, axis=1)) <= 1.0
+
+
+def _reference_sphere(n, seed):
+    """sample_unit_sphere as it was first written: one array per chunk, then concatenated."""
+    chunks = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + oracle._CHUNK - 1) // oracle._CHUNK)):
+        g = np.random.default_rng(child)
+        z = g.normal(size=(min(oracle._CHUNK, n - i * oracle._CHUNK), 6))
+        w = z[:, :3] + 1j * z[:, 3:]
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        chunks.append(w)
+    return np.concatenate(chunks)
+
+
+def _reference_ball(n, seed):
+    """sample_unit_ball as it was first written: one array per chunk, then concatenated."""
+    chunks = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + oracle._CHUNK - 1) // oracle._CHUNK)):
+        g = np.random.default_rng(child)
+        take = min(oracle._CHUNK, n - i * oracle._CHUNK)
+        v = g.normal(size=(take, 3))
+        r = g.random(take) ** (1.0 / 3.0)
+        chunks.append(v / np.linalg.norm(v, axis=1)[:, None] * r[:, None])
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("seed", [42, 8513])
+def test_samplers_match_the_chunked_reference(seed):
+    # the draws of every seed are pinned bit for bit on this machine, which
+    # a stored digest could not do: numpy may round the sphere's norm with
+    # fused multiply-adds, depending on the CPU
+    for n in (1, 7, 8, oracle._CHUNK - 1, oracle._CHUNK, oracle._CHUNK + 1, 20000):
+        sphere, ball = sample_unit_sphere(n, seed), sample_unit_ball(n, seed)
+        assert sphere.shape == (n, 3) and sphere.dtype == complex
+        assert ball.shape == (n, 3) and ball.dtype == float
+        assert sphere.tobytes() == _reference_sphere(n, seed).tobytes()
+        assert ball.tobytes() == _reference_ball(n, seed).tobytes()
 
 
 def test_ks_identity_clean():
@@ -379,21 +416,22 @@ def test_ks_search_takes_unital_maps_only(rng):
 
 def _recording_eigenvalues(monkeypatch, d):
     """Record the number of matrices of each batch_min_eigenvalue call: (defect
-    stacks of d x d matrices, KS operator stacks of 3d x 3d ones)."""
-    defects, operators = [], []
+    stacks of d x d matrices, KS operator stacks of 3d x 3d ones, Choi
+    stacks of 2d x 2d ones)."""
+    defects, operators, chois = [], [], []
     original = linalg.batch_min_eigenvalue
 
     def recording(stack):
         n = int(np.prod(np.shape(stack)[:-2]))
-        (operators if np.shape(stack)[-1] == 3 * d else defects).append(n)
+        {3 * d: operators, 2 * d: chois}.get(np.shape(stack)[-1], defects).append(n)
         return original(stack)
 
     monkeypatch.setattr(linalg, "batch_min_eigenvalue", recording)
-    return defects, operators
+    return defects, operators, chois
 
 
 def test_search_many_block_bound(monkeypatch):
-    sizes, operators = _recording_eigenvalues(monkeypatch, 2)
+    sizes, operators, _ = _recording_eigenvalues(monkeypatch, 2)
     maps = _grid_maps("phi", 3)
     cfg = SampleConfig(n_samples=10000, seed=7)
     ks_violation_search_many(maps, cfg)
@@ -500,6 +538,77 @@ class _NonHermitianChannel:
         return to_matrix_batch(w0, 0.5j * np.asarray(w, dtype=complex))
 
 
+def _cp_boundary_maps(rng):
+    """CP maps whose Choi matrix is singular: the corners of the CP
+    tetrahedron of diagonal channels, the identity among them, conjugated
+    corners, and TensorMap.diagonal(0.5, 0.5, 0.5)."""
+    corners = [QubitChannel.diagonal(DiagonalParams(*c))
+               for c in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]]
+    conjugated = [conjugate_by_unitaries(c, random_unitary(rng), random_unitary(rng)) for c in corners]
+    return corners + conjugated + [QubitChannel.identity(), TensorMap.diagonal(DiagonalTensorParams(0.5, 0.5, 0.5))]
+
+
+def test_choi_certificate_is_sound(rng):
+    # every output eigenvalue of a certified map, from LAPACK, lies at or
+    # above -tol/2, so the unscreened search returns None too
+    cfg = SampleConfig(n_samples=3000, seed=11)
+    boundary = _cp_boundary_maps(rng)
+    assert all(_choi_certified(m, cfg) for m in boundary)
+    certified = [m for m in _screen_test_maps(rng) + boundary if _choi_certified(m, cfg)]
+    assert len(certified) > len(boundary)
+    w = _ball_inputs(cfg)
+    for m in certified:
+        assert positivity_violation_search(m, cfg) is None
+        assert _eigvalsh_positivity_search(m, cfg) is None
+        assert np.min(linalg.batch_min_eigenvalue(_basis_outputs(m, w))) >= -cfg.tol / 2
+
+
+def test_choi_certificate_leaves_non_cp_maps(rng, monkeypatch):
+    # positive maps that are not CP, and maps that are not positive: none is
+    # certified, and each search finds what it finds with the certificate out
+    cfg = SampleConfig(n_samples=2000, seed=5)
+    transpose = QubitChannel.diagonal(DiagonalParams(1, -1, 1))
+    maps = [TensorMap.scalar(ScalarPairParams(-0.5, 0.3)), transpose,
+            conjugate_by_unitaries(transpose, random_unitary(rng), random_unitary(rng)),
+            TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0])),
+            TensorMap.scalar(ScalarPairParams(0.6, 0.55))]
+    maps += [TensorMap.scalar(ScalarPairParams(*p)) for p in rng.uniform(-1, 1, size=(20, 2))]
+    maps += [TensorMap.diagonal(DiagonalTensorParams(*p)) for p in rng.uniform(-0.5, 0.5, size=(20, 3))]
+    lows = [float(classify.choi_min_eigenvalues(channels._unit_blocks(m))) for m in maps]
+    non_cp = [m for m, low in zip(maps, lows) if low < 0]
+    assert len(non_cp) > 15
+    found = [positivity_violation_search(m, cfg) for m in non_cp]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_choi_certified", no_choi_certificate)
+        sampled = [positivity_violation_search(m, cfg) for m in non_cp]
+    assert any(wit is None for wit in found) and any(wit is not None for wit in found)
+    for m, wit, again in zip(non_cp, found, sampled, strict=True):
+        assert not _choi_certified(m, cfg)
+        assert _same_witness(wit, again)
+
+
+def test_choi_matrix_matches_the_unit_blocks(rng, monkeypatch):
+    # the Choi matrix that the certificate assembles from the basis rows is
+    # channels._unit_blocks within rounding
+    chois = []
+    original = linalg.batch_min_eigenvalue
+
+    def recording(stack):
+        chois.append(np.array(stack))
+        return original(stack)
+
+    monkeypatch.setattr(linalg, "batch_min_eigenvalue", recording)
+    maps = _screen_test_maps(rng) + _cp_boundary_maps(rng)
+    cfg = SampleConfig(n_samples=1, seed=1)
+    for m in maps:
+        chois.clear()
+        _choi_certified(m, cfg)
+        (choi,) = chois
+        assert choi.shape == (1, 2 * m.out_dim, 2 * m.out_dim)
+        blocks = channels._unit_blocks(m)
+        assert np.max(np.abs(choi[0] - blocks)) <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(blocks)))
+
+
 def test_search_guards():
     cfg = SampleConfig(n_samples=100, seed=1)
     with pytest.raises(ValueError, match="not linear"):
@@ -564,6 +673,13 @@ def _eigvalsh_positivity_search(map_obj, cfg):
     return _first_lowest(linalg.batch_min_eigenvalue(_basis_outputs(map_obj, w)).real, w, cfg)
 
 
+def _choi_certified(map_obj, cfg):
+    """oracle._choi_certified on the map's basis rows, as the positivity search calls it."""
+    d = map_obj.out_dim
+    basis = np.ascontiguousarray(oracle._basis_rows(map_obj), dtype=complex).reshape(4, d * d)
+    return oracle._choi_certified(basis, d, cfg.tol)
+
+
 def _same_witness(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -591,23 +707,26 @@ def test_screened_searches_match_eigvalsh_searches(rng, monkeypatch):
     cfg = SampleConfig(n_samples=3000, seed=11)
     # the KS operator certifies some clean maps, which then skip the screen
     assert any(oracle.ks_certified(m, cfg) is not None for m in maps)
+    # and the Choi matrix some CP maps, which then skip the positivity search
+    assert any(_choi_certified(m, cfg) for m in maps)
     with monkeypatch.context() as patch:
         # every map sampled: clean maps pass the LDL screen in tiles with failing ones
         patch.setattr(oracle, "_certified", no_certificates)
+        patch.setattr(oracle, "_choi_certified", no_choi_certificate)
         screened = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
         together = ks_violation_search_many(maps, cfg)
-    skipping = [ks_violation_search(m, cfg) for m in maps]
+    skipping = [(ks_violation_search(m, cfg), positivity_violation_search(m, cfg)) for m in maps]
     skipping_together = ks_violation_search_many(maps, cfg)
     monkeypatch.setattr(oracle, "_worst_defects", _eigvalsh_worst_defects)
     monkeypatch.setattr(oracle, "_certified", no_certificates)
     reference = [(ks_violation_search(m, cfg), _eigvalsh_positivity_search(m, cfg)) for m in maps]
     assert any(ks is not None for ks, _ in reference) and any(ks is None for ks, _ in reference)
     assert any(pos is not None for _, pos in reference) and any(pos is None for _, pos in reference)
-    for (ks, pos), (ref_ks, ref_pos), many, skip, skip_many in zip(
+    for (ks, pos), (ref_ks, ref_pos), many, (skip, skip_pos), skip_many in zip(
             screened, reference, together, skipping, skipping_together, strict=True):
         assert _same_witness(ks, ref_ks) and _same_witness(many, ref_ks)
         assert _same_witness(skip, ref_ks) and _same_witness(skip_many, ref_ks)
-        assert _same_witness(pos, ref_pos)
+        assert _same_witness(pos, ref_pos) and _same_witness(skip_pos, ref_pos)
 
 
 def test_basis_contraction_matches_evaluate_batch(rng):
@@ -674,11 +793,16 @@ def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
         u = np.ones(3) / np.sqrt(3)
         maps = [TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0])), wide,
                 TensorMap(0.6 * np.outer(u, u), 0.6 * np.outer(u, u)), clean[0]]
+        # the last map is CP: its Choi matrix certifies it, unless patched out
+        assert [_choi_certified(m, cfg) for m in maps] == [False, False, False, True]
         found = [positivity_violation_search(m, cfg) for m in maps]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_choi_certified", no_choi_certificate)
+            sampled = [positivity_violation_search(m, cfg) for m in maps]
         reference = [_eigvalsh_positivity_search(m, cfg) for m in maps]
         assert all(wit is not None for wit in found[:3]) and found[3] is None
-        for wit, ref in zip(found, reference, strict=True):
-            assert _same_witness(wit, ref)
+        for wit, again, ref in zip(found, sampled, reference, strict=True):
+            assert _same_witness(wit, ref) and _same_witness(again, ref)
         return
     if case == "wide-3-chunks":
         # every defect lies in [-0.3225426, -0.3225]: ties test the first-index rule
@@ -713,7 +837,7 @@ def test_descending_floor_keeps_the_witnesses(case, monkeypatch):
 
 
 def test_lapack_sees_only_unscreened_defects(monkeypatch):
-    sizes, operators = _recording_eigenvalues(monkeypatch, 4)
+    sizes, operators, chois = _recording_eigenvalues(monkeypatch, 4)
     cfg = SampleConfig(n_samples=10000, seed=7)
     # the KS operator certifies the map: no defect is computed
     assert ks_violation_search(TensorMap.scalar(ScalarPairParams(0.3, 0.2)), cfg) is None
@@ -735,6 +859,8 @@ def test_lapack_sees_only_unscreened_defects(monkeypatch):
     stretched = TensorMap(np.diag([0.8, 0.0, 0.0]), np.diag([0.3, 0.0, 0.0]))
     assert positivity_violation_search(stretched, SampleConfig(n_samples=200000, seed=7)) is not None
     assert sizes == [oracle._PILOT]
+    # one Choi matrix, which does not certify the map
+    assert chois == [1]
     assert operators == [1] * 5
 
 
