@@ -517,7 +517,9 @@ def ks_violation_search(map_obj, cfg: SampleConfig = SampleConfig()) -> Optional
     return ks_violation_search_many([map_obj], cfg)[0]
 
 
-def ks_search(map_obj, cfg: SampleConfig = SampleConfig()):
+def ks_search(
+    map_obj, cfg: SampleConfig = SampleConfig()
+) -> tuple[Optional[float], Optional[Witness]]:
     """(ks_certified, ks_violation_search) of one map from one template
     build: (lambda_min(H), None) when its KS operator certifies it, else
     (None, the search's witness or None)."""

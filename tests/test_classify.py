@@ -483,7 +483,11 @@ def _dense_sup(A, C, n: int = 200_000, seed: int = 0) -> float:
     return float(np.max(np.linalg.norm(w @ A.T, axis=-1) + np.linalg.norm(w @ C.T, axis=-1)))
 
 
-@pytest.mark.xfail(strict=True, reason="tensor_positivity_steps stalls here with a 6.3e-11 bracket")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="tensor_positivity_steps stalls here with a 6.3e-11 bracket",
+)
 def test_tensor_positivity_steps_closes_the_stalled_bracket():
     # a falsifying example of the hypothesis test below: from its 16th
     # step on, the lower bound stays 6.3e-11 under the supremum

@@ -56,12 +56,18 @@ def test_sampler_determinism():
     assert np.max(np.linalg.norm(ball, axis=1)) <= 1.0
 
 
+def _reference_generators(n, seed):
+    """(generator, rows) per chunk of the samplers: one seed-derived substream per _CHUNK rows."""
+    chunk = oracle._CHUNK
+    children = np.random.SeedSequence(seed).spawn((n + chunk - 1) // chunk)
+    return [(np.random.default_rng(c), min(chunk, n - i * chunk)) for i, c in enumerate(children)]
+
+
 def _reference_sphere(n, seed):
     """sample_unit_sphere as it was first written: one array per chunk, then concatenated."""
     chunks = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + oracle._CHUNK - 1) // oracle._CHUNK)):
-        g = np.random.default_rng(child)
-        z = g.normal(size=(min(oracle._CHUNK, n - i * oracle._CHUNK), 6))
+    for g, take in _reference_generators(n, seed):
+        z = g.normal(size=(take, 6))
         w = z[:, :3] + 1j * z[:, 3:]
         w /= np.linalg.norm(w, axis=1)[:, None]
         chunks.append(w)
@@ -71,9 +77,7 @@ def _reference_sphere(n, seed):
 def _reference_ball(n, seed):
     """sample_unit_ball as it was first written: one array per chunk, then concatenated."""
     chunks = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn((n + oracle._CHUNK - 1) // oracle._CHUNK)):
-        g = np.random.default_rng(child)
-        take = min(oracle._CHUNK, n - i * oracle._CHUNK)
+    for g, take in _reference_generators(n, seed):
         v = g.normal(size=(take, 3))
         r = g.random(take) ** (1.0 / 3.0)
         chunks.append(v / np.linalg.norm(v, axis=1)[:, None] * r[:, None])
@@ -82,7 +86,7 @@ def _reference_ball(n, seed):
 
 @pytest.mark.parametrize("seed", [42, 8513])
 def test_samplers_match_the_chunked_reference(seed):
-    # the draws of every seed are pinned bit for bit on this machine, which
+    # the draws are pinned bit for bit on the CPU that runs the test, which
     # a stored digest could not do: numpy may round the sphere's norm with
     # fused multiply-adds, depending on the CPU
     for n in (1, 7, 8, oracle._CHUNK - 1, oracle._CHUNK, oracle._CHUNK + 1, 20000):
