@@ -12,10 +12,13 @@ Verdict statuses record logical strength, not just truth:
   nothing; classify_full then hands the map to the oracle, which tries
   the map's KS operator before it samples.
 
-Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``): a
-qubit channel by ||T||_op <= 1, a tensor map by the minimax of
-``tensor_positivity_steps`` for sup ||Aw|| + ||Cw|| over the unit
-sphere, stopped once an upper or a lower bound decides.
+Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``), on
+the parameters: a phi channel by ||T||_op = max |lam_k| <= 1, a tensor
+map by s = sup ||Aw|| + ||Cw|| <= 1 over the unit sphere, where s is
+2 max |l_k| for tdiag (A = C = diag(l)) and |lam| + |mu| for tlm.  For
+tmat, ``positive_tensor`` runs the minimax of ``tensor_positivity_steps``
+until an upper or a lower bound decides.  No decider builds a map;
+``classify_full`` builds one only for the oracle.
 
 The KS decision for diagonal qubit channels deserves a note.  Its three
 closed-form inequalities are a correct *sufficient* test, but their
@@ -489,6 +492,32 @@ def _balanced_top_vector(A, C, P, Q, t, vecs):
     return float(g[k]), W[k]
 
 
+# step lengths of the ascent's line search, down to float resolution
+_ASCENT_STEPS = 2.0 ** -np.arange(53.0)
+
+
+def _ascent_step(A, C, P, Q, g, w):
+    """(g, w) after one projected-gradient step of ||Aw|| + ||Cw|| from the
+    unit w, where it is worth g: the best of the unit vectors along the
+    projected gradient at the lengths _ASCENT_STEPS, or (g, w) itself when
+    none is better.  Near an avoided crossing of P/t + Q/(1 - t) the
+    eigenvector mix of _balanced_top_vector falls short of the supremum by
+    more than 1e-12; these steps close that gap."""
+    a, c = np.linalg.norm(A @ w), np.linalg.norm(C @ w)
+    if not a + c > 0.0:
+        return g, w
+    grad = (P @ w / a if a > 0.0 else 0.0) + (Q @ w / c if c > 0.0 else 0.0)
+    d = grad - (grad @ w) * w
+    size = np.linalg.norm(d)
+    if not size > 0.0:
+        return g, w
+    W = w + _ASCENT_STEPS[:, None] * (d / size)
+    W /= np.linalg.norm(W, axis=-1)[:, None]
+    vals = np.linalg.norm(W @ A.T, axis=-1) + np.linalg.norm(W @ C.T, axis=-1)
+    k = int(np.argmax(vals))
+    return (float(vals[k]), W[k]) if vals[k] > g else (g, w)
+
+
 def tensor_positivity_steps(A, C):
     """Bounds on s = sup ||Aw|| + ||Cw|| over real unit w in R^3, tightened
     step by step.
@@ -503,8 +532,9 @@ def tensor_positivity_steps(A, C):
     evaluates it on a grid of the t-bracket with one stacked 3x3 eigh and
     keeps the neighbours of the best point.  Each step yields the best
     bounds so far, (upper, t, lower, w): upper = lambda_max(P/t +
-    Q/(1 - t))^(1/2) >= s, and lower = ||Aw|| + ||Cw|| <= s at the unit w
-    from _balanced_top_vector.  The caller stops once they decide.
+    Q/(1 - t))^(1/2) >= s, and lower = ||Aw|| + ||Cw|| <= s at the best
+    unit w from _balanced_top_vector, raised by one _ascent_step per step.
+    The caller stops once they decide.
     """
     P, Q = A.T @ A, C.T @ C
     lo, hi = 0.0, 1.0
@@ -519,6 +549,7 @@ def tensor_positivity_steps(A, C):
         g, w = _balanced_top_vector(A, C, P, Q, grid[i + 1], vecs[i])
         if g > lower:
             lower, w_best = g, w
+        lower, w_best = _ascent_step(A, C, P, Q, lower, w_best)
         yield upper, t_best, lower, w_best
         lo, hi = grid[i], grid[i + 2]
 
@@ -657,7 +688,10 @@ def ks_tlm(p, tols: Tolerances = DEFAULT):
 
     The sufficient inequality first; when it is violated, the component
     rule: the tensor combination of two KS scalar channels is KS.
-    Otherwise INCONCLUSIVE.
+    Otherwise INCONCLUSIVE.  The square [-1/4, 1/2]^2 of the rule lies
+    inside the inequality's region, with equality at the corners
+    (-1/4, -1/4), (1/2, -1/4) and (-1/4, 1/2), so the rule decides only
+    slivers about tols.positivity (1e-9) wide outside those corners.
     """
     (lam, mu), one = _columns(p)
     components = ks_scalar_interval_holds(np.array([lam, mu]), tols.positivity).all(axis=0)
@@ -825,23 +859,38 @@ def cp_choi_numeric(choi: np.ndarray, tols: Tolerances = DEFAULT) -> TriState:
 # ---------------------------------------------------------------------------
 
 
-def _positive_qubit_exact(ch: QubitChannel, tols: Tolerances) -> TriState:
-    """Positivity of a real qubit channel: operator norm of T at most 1."""
-    op = float(np.linalg.norm(ch.T, 2))
-    if op <= 1.0 + tols.positivity:
-        return TriState(Status.HOLDS_EXACT, f"||T||_op = {op:.6g} <= 1")
-    return TriState(Status.FAILS, f"||T||_op = {op:.6g} > 1")
+def _positive_closed_form(value: float, label: str, tol: float, axis=None) -> TriState:
+    """HOLDS_EXACT when a map's positivity value (its ||T||_op, or its
+    sup ||Aw|| + ||Cw||) is at most 1 + tol, else FAILS; a tensor family's
+    FAILS carries the witness 1 + e_axis.s, whose image has smallest
+    eigenvalue 1 - value."""
+    note = f"{label} = {value:.6g}"
+    if value <= 1.0 + tol:
+        return TriState(Status.HOLDS_EXACT, note + " <= 1")
+    if axis is None:
+        return TriState(Status.FAILS, note + " > 1")
+    w = np.eye(3, dtype=complex)[axis]
+    return TriState(Status.FAILS, note + " > 1", witness=(PauliElement(1.0, w), value))
+
+
+def _positive_tdiag(p: DiagonalTensorParams, tols: Tolerances) -> TriState:
+    """A = C = diag(l): sup ||Aw|| + ||Cw|| = 2 max |l_k|, attained at e_k
+    for the first largest |l_k|."""
+    mods = [abs(p.lam1), abs(p.lam2), abs(p.lam3)]
+    op = max(mods)
+    return _positive_closed_form(2.0 * op, "A = C and 2||A||_op", tols.positivity, mods.index(op))
 
 
 @dataclass(frozen=True)
 class Deciders:
     """The positive, KS and CP deciders of one descriptor kind.
 
-    Each is called as decider(params, map, tols, cfg) and returns a
-    TriState; cfg is the oracle's SampleConfig.  The KS and CP deciders of
-    the boxed families (phi, tdiag, tlm) also take params as an
-    (N, arity) stack of parameter rows, with map None, and return a list
-    of N TriStates, each the one its row gets alone: the agreement
+    Each is called as decider(params, tols, cfg), params the parameter
+    record of the descriptor (the TensorMap itself for tmat), and returns
+    a TriState; cfg is the oracle's SampleConfig.  No decider builds a
+    map.  The KS and CP deciders of the boxed families (phi, tdiag, tlm)
+    also take params as an (N, arity) stack of parameter rows and return
+    a list of N TriStates, each the one its row gets alone: the agreement
     harness decides a whole grid with one call of each.  classify_full
     calls them with one record.  A KS verdict of INCONCLUSIVE sends the
     agreement harness and classify_full to the oracle.
@@ -852,36 +901,35 @@ class Deciders:
     cp: Callable
 
 
-def _positive_tensor_map(p, m, tols, cfg) -> TriState:
-    return positive_tensor(m, tols=tols)
-
-
-def _ks_tensor_map(p, m, tols, cfg) -> TriState:
-    return TriState(Status.INCONCLUSIVE, "no closed-form KS test for a general tensor map")
-
-
 # keyed like channels.FAMILIES; the entries look the deciders up when
 # called, so replacing a module attribute (tracing, tests) reaches them
 DECIDERS = {
     "phi": Deciders(
-        positive=lambda p, m, tols, cfg: _positive_qubit_exact(m, tols),
-        ks=lambda p, m, tols, cfg: ks_phi_diag_exact(p, tols, cfg),
-        cp=lambda p, m, tols, cfg: cp_phi_exact(p, tols),
+        positive=lambda p, tols, cfg: _positive_closed_form(
+            max(abs(p.lam1), abs(p.lam2), abs(p.lam3)), "||T||_op", tols.positivity
+        ),
+        ks=lambda p, tols, cfg: ks_phi_diag_exact(p, tols, cfg),
+        cp=lambda p, tols, cfg: cp_phi_exact(p, tols),
     ),
     "tdiag": Deciders(
-        positive=_positive_tensor_map,
-        ks=lambda p, m, tols, cfg: ks_tensor_diag_sufficient(p, tols),
-        cp=lambda p, m, tols, cfg: cp_tensor_diag_exact(p, tols),
+        positive=lambda p, tols, cfg: _positive_tdiag(p, tols),
+        ks=lambda p, tols, cfg: ks_tensor_diag_sufficient(p, tols),
+        cp=lambda p, tols, cfg: cp_tensor_diag_exact(p, tols),
     ),
     "tlm": Deciders(
-        positive=_positive_tensor_map,
-        ks=lambda p, m, tols, cfg: ks_tlm(p, tols),
-        cp=lambda p, m, tols, cfg: cp_tlm_exact(p, tols),
+        # A = lam 1, C = mu 1: ||Aw|| + ||Cw|| = |lam| + |mu| at every unit w
+        positive=lambda p, tols, cfg: _positive_closed_form(
+            abs(p.lam) + abs(p.mu), "|lam| + |mu|", tols.positivity, 0
+        ),
+        ks=lambda p, tols, cfg: ks_tlm(p, tols),
+        cp=lambda p, tols, cfg: cp_tlm_exact(p, tols),
     ),
     "tmat": Deciders(
-        positive=_positive_tensor_map,
-        ks=_ks_tensor_map,
-        cp=lambda p, m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols),
+        positive=lambda m, tols, cfg: positive_tensor(m, tols),
+        ks=lambda m, tols, cfg: TriState(
+            Status.INCONCLUSIVE, "no closed-form KS test for a general tensor map"
+        ),
+        cp=lambda m, tols, cfg: cp_choi_numeric(choi_matrix_tensor(m), tols),
     ),
 }
 
@@ -895,18 +943,17 @@ def classify_full(
     (kind, params) pair.  Each level uses the strongest test available
     for the family (see DECIDERS).  Where a KS decider is INCONCLUSIVE,
     the oracle decides: the map's KS operator when it certifies every
-    defect, the sampled search otherwise.
+    defect, the sampled search otherwise.  Only then is a map built.
     """
     from . import oracle
 
     kind, params = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
-    m = map_for_descriptor(kind, params)
     deciders = DECIDERS[kind]
     cfg = oracle.SampleConfig(n_samples=n_samples, seed=seed, tol=tols.ks_violation)
-    pos = deciders.positive(params, m, tols, cfg)
-    ks = deciders.ks(params, m, tols, cfg)
+    pos = deciders.positive(params, tols, cfg)
+    ks = deciders.ks(params, tols, cfg)
     if ks.status is Status.INCONCLUSIVE:
-        low, wit = oracle.ks_search(m, cfg)
+        low, wit = oracle.ks_search(map_for_descriptor(kind, params), cfg)
         if wit is not None:
             ks = TriState(
                 Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit
@@ -916,7 +963,7 @@ def classify_full(
             ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation: {note}")
         else:
             ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation in {n_samples} samples")
-    cp = deciders.cp(params, m, tols, cfg)
+    cp = deciders.cp(params, tols, cfg)
     verdict = Verdict(positive=pos, kadison_schwarz=ks, completely_positive=cp)
     _check_hierarchy(verdict, tols)
     return verdict

@@ -595,8 +595,8 @@ def agreement_harness(family: str, grid: int, cfg: SampleConfig = SampleConfig()
     axis = np.linspace(*fam.box, grid)
     pts = np.stack(np.meshgrid(*[axis] * fam.arity, indexing="ij"), axis=-1).reshape(-1, fam.arity)
     min_eigs = classify.choi_min_eigenvalues(fam.choi(pts))
-    cps = deciders.cp(pts, None, DEFAULT, cfg)
-    kss = deciders.ks(pts, None, DEFAULT, cfg)
+    cps = deciders.cp(pts, DEFAULT, cfg)
+    kss = deciders.ks(pts, DEFAULT, cfg)
     asked = [
         fam.map(fam.params(pt))
         for pt, ks in zip(pts, kss)

@@ -483,22 +483,24 @@ def _dense_sup(A, C, n: int = 200_000, seed: int = 0) -> float:
     return float(np.max(np.linalg.norm(w @ A.T, axis=-1) + np.linalg.norm(w @ C.T, axis=-1)))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="tensor_positivity_steps stalls here with a 6.3e-11 bracket",
-)
+# A falsifying example of test_tensor_positivity_steps_against_dense_sample
+# before the ascent steps: at t* = 0.72727 the top two eigenvalues of
+# P/t + Q/(1 - t) are split by 2.6e-9 (an avoided crossing from the
+# 3.3e-10 entry), and from the 16th step on the eigenvector mix alone
+# stayed 6.3e-11 under the supremum 1.9148542155533466
+STALLED_A = np.array([[0, 0, 1], [1, 0, 6.2e-52], [1, 3.3040891189505197e-10, 0]])
+STALLED_C = np.array([[0, 1, 0], [0.5, 0, 0], [0, 0, 0]])
+
+
 def test_tensor_positivity_steps_closes_the_stalled_bracket():
-    # a falsifying example of the hypothesis test below: from its 16th
-    # step on, the lower bound stays 6.3e-11 under the supremum
-    A = np.array([[0, 0, 1], [1, 0, 6.2e-52], [1, 3.3040891189505197e-10, 0]])
-    C = np.array([[0, 1, 0], [0.5, 0, 0], [0, 0, 0]])
-    upper, t, lower, w = _exact_sup(A, C)
+    upper, t, lower, w = _exact_sup(STALLED_A, STALLED_C)
     assert upper - lower <= 1e-12
+    assert upper == pytest.approx(1.9148542155533466, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+@example(entries=np.concatenate([STALLED_A.ravel(), STALLED_C.ravel()]).tolist())
 def test_tensor_positivity_steps_against_dense_sample(entries):
     A, C = np.array(entries).reshape(2, 3, 3)
     upper, t, lower, w = _exact_sup(A, C)
@@ -593,6 +595,151 @@ def test_positive_tensor_lattice_miss_now_fails():
     tri = positive_tensor(m)
     assert tri.status is Status.FAILS
     _assert_positivity_certified(m, tri)
+
+
+# --- closed-form positivity of phi, tdiag and tlm ---------------------------
+
+
+def _positive(kind, p, tols=DEFAULT):
+    return classify.DECIDERS[kind].positive(p, tols, None)
+
+
+def _diag_rows(rng, box: float) -> np.ndarray:
+    """The 21^3 grid of [-box, box]^3, seeded draws, and draws with one
+    entry at +-box or just past it, within the parameter records' bound."""
+    axis = np.linspace(-box, box, 21)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    draws = rng.uniform(-box, box, size=(2, 1000, 3))
+    edge = draws[1]
+    k = rng.integers(0, 3, len(edge))
+    edge[np.arange(len(edge)), k] = rng.choice([-1.0, 1.0], len(edge)) * (
+        box + rng.choice([0.0, 5e-13, 1e-12], len(edge))
+    )
+    return np.concatenate([grid, draws[0], edge])
+
+
+@pytest.mark.parametrize("tols", [DEFAULT, Tolerances(positivity=0.0)], ids=["default", "tol0"])
+def test_phi_positivity_matches_the_operator_norm(tols, rng):
+    # the former decider took ||T||_op from an SVD of T = diag(l)
+    n_fails = 0
+    for row in _diag_rows(rng, 1.0):
+        tri = _positive("phi", DiagonalParams(*row), tols)
+        op = float(np.linalg.norm(np.diag(row), 2))
+        holds = op <= 1.0 + tols.positivity
+        n_fails += not holds
+        assert tri.status is (Status.HOLDS_EXACT if holds else Status.FAILS)
+        assert tri.note == f"||T||_op = {op:.6g} " + ("<= 1" if holds else "> 1")
+        assert tri.witness is None
+    # rows past the edge fail only at tol 0
+    assert (n_fails > 100) == (tols.positivity == 0.0)
+
+
+@pytest.mark.parametrize("tols", [DEFAULT, Tolerances(positivity=0.0)], ids=["default", "tol0"])
+def test_tdiag_positivity_matches_positive_tensor(tols, rng):
+    n_fails = 0
+    for row in _diag_rows(rng, 0.5):
+        p = DiagonalTensorParams(*row)
+        tri, ref = _positive("tdiag", p, tols), positive_tensor(TensorMap.diagonal(p), tols)
+        assert (tri.status, tri.note) == (ref.status, ref.note)
+        if tri.status is Status.FAILS:
+            n_fails += 1
+            (x, value), (_, ref_value) = tri.witness, ref.witness
+            k = int(np.argmax(np.abs(row)))
+            assert value == ref_value == 2.0 * abs(row[k])
+            assert np.array_equal(x.w, np.eye(3)[k])
+            _assert_positivity_certified(TensorMap.diagonal(p), tri, tols.positivity)
+    # rows past the edge fail only at tol 0
+    assert (n_fails > 100) == (tols.positivity == 0.0)
+
+
+def test_tdiag_positivity_witness_just_past_the_boundary():
+    p = DiagonalTensorParams(0.3, -(0.5 + 1e-12), 0.5 + 1e-12)
+    tri = _positive("tdiag", p, Tolerances(positivity=0.0))
+    assert tri.status is Status.FAILS
+    assert tri.note == "A = C and 2||A||_op = 1 > 1"
+    # the first largest |l_k|
+    assert np.array_equal(tri.witness[0].w, [0, 1, 0]) and tri.witness[1] == 1.0 + 2e-12
+    _assert_positivity_certified(TensorMap.diagonal(p), tri, 0.0)
+    assert _positive("tdiag", p).status is Status.HOLDS_EXACT
+
+
+def _tlm_band_rows(rng, count: int) -> np.ndarray:
+    """The 41^2 grid of [-1, 1]^2, and rows with |lam| + |mu| = 1 + offset
+    (to rounding) about the boundary and about 1 + tol."""
+    axis = np.linspace(-1.0, 1.0, 41)
+    rows = [np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)]
+    for offset in (0.0, 1e-12, -1e-12, 5e-10, 1e-9, -1e-9, 2e-9):
+        u, sign = rng.uniform(-1.0, 1.0, count), rng.choice([-1.0, 1.0], count)
+        rows.append((1.0 + offset) * np.stack([u, sign * (1.0 - np.abs(u))], axis=-1))
+    return np.concatenate(rows)
+
+
+def test_tlm_positivity_matches_positive_tensor(rng):
+    n_fails = 0
+    for lam, mu in _tlm_band_rows(rng, 60):
+        p = ScalarPairParams(lam, mu)
+        m = TensorMap.scalar(p)
+        tri = _positive("tlm", p)
+        assert tri.status is positive_tensor(m).status, (lam, mu)
+        value = abs(lam) + abs(mu)
+        if tri.status is Status.HOLDS_EXACT:
+            assert tri.note == f"|lam| + |mu| = {value:.6g} <= 1" and tri.witness is None
+            continue
+        n_fails += 1
+        assert tri.note == f"|lam| + |mu| = {value:.6g} > 1"
+        x, got = tri.witness
+        assert got == value and np.array_equal(x.w, [1, 0, 0])
+        _assert_positivity_certified(m, tri)
+    assert n_fails > 800
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["phi:0.3,-0.2,0.9", "phi:-0.5,-0.5,-0.5", "phi:1,-1,1", "tdiag:0.5,0,0",
+     "tdiag:0.2,0.1,0", "tlm:0.2,-0.1", "tlm:0.5,-0.25"],
+)
+def test_classify_full_settles_the_boxed_families_without_a_map(descriptor, monkeypatch):
+    # the deciders settle these, so no map is built and nothing of the
+    # positive_tensor minimax or of the former SVD path runs
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on {descriptor}")
+
+        return call
+
+    monkeypatch.setattr(classify, "map_for_descriptor", refuse("map_for_descriptor"))
+    monkeypatch.setattr(classify, "positive_tensor", refuse("positive_tensor"))
+    monkeypatch.setattr(np.linalg, "svd", refuse("np.linalg.svd"))
+    v = classify_full(descriptor)
+    assert v.positive.status is Status.HOLDS_EXACT
+    assert v.kadison_schwarz.status is not Status.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "descriptor,minimax",
+    [("tlm:0.6,0.2", 0), ("tmat:" + ",".join(["0.05"] * 18), 1)],
+    ids=["tlm-oracle", "tmat"],
+)
+def test_classify_full_builds_one_map_for_the_oracle(descriptor, minimax, monkeypatch):
+    built, made, searched, positivity = [], [], [], []
+
+    def spy(record, original):
+        def call(*args, **kwargs):
+            record.append(args[0])
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(classify, "map_for_descriptor", spy(built, classify.map_for_descriptor))
+    monkeypatch.setattr(classify, "positive_tensor", spy(positivity, positive_tensor))
+    monkeypatch.setattr(oracle, "ks_search", spy(searched, oracle.ks_search))
+    monkeypatch.setattr(TensorMap, "__post_init__", spy(made, TensorMap.__post_init__))
+    v = classify_full(descriptor)
+    assert v.kadison_schwarz.note.startswith("oracle found no violation")
+    # one TensorMap in all: the tlm map for the oracle, or the tmat
+    # descriptor's own record, which the oracle searches
+    assert len(built) == 1 and len(made) == 1 and searched == made
+    assert len(positivity) == minimax
 
 
 # --- tensor KS --------------------------------------------------------------
@@ -1003,7 +1150,7 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
     # only for a map that its KS operator leaves undecided
     monkeypatch.setattr(oracle, "sample_unit_sphere", refuse("oracle"))
     # tmat: the decider has no test of its own, the oracle's KS operator decides
-    tri = classify.DECIDERS["tmat"].ks(None, None, DEFAULT, None)
+    tri = classify.DECIDERS["tmat"].ks(None, DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
     v = classify_full("tmat:" + ",".join(["0.05"] * 18))
     assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
@@ -1012,7 +1159,7 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
     v = classify_full("tlm:0.6,0.2")
     assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.2)
     # the KS operator stays out of the tlm decider, which the harness calls
-    tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), None, DEFAULT, None)
+    tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
     # where it is not positive, the oracle decides, with no sampled test before it
     with pytest.raises(AssertionError, match="oracle called"):
