@@ -14,6 +14,7 @@ EXAMPLES = [
     ("tdiag:0.5,0.0,0.5", "edge of the parameter box, not CP"),
     ("tlm:0.5,0.5", "scalar pair at the CP boundary"),
     ("tlm:-0.3,0.0", "tensor map is KS although its factor channel is not"),
+    ("tlm:-0.46134420037816182,0.017312831060309231", "tensor map certified KS exactly, but not CP"),
     ("tmat:0.2,0,0,0,0.1,0,0,0,0.15,0.1,0,0,0,0.2,0,0,0,0.05", "generic matrix pair"),
 ]
 

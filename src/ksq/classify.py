@@ -9,8 +9,9 @@ Verdict statuses record logical strength, not just truth:
 * ``FAILS``            a certificate of failure exists (violated exact
   inequality, or an explicit witness);
 * ``INCONCLUSIVE``     a sufficient hypothesis was violated, which proves
-  nothing; classify_full then hands the map to the oracle, which tries
-  the map's KS operator before it samples.
+  nothing; classify_full then takes the kind's ks_settle step: the exact
+  closed form for tlm, else the oracle, which tries the map's KS
+  operator before it samples.
 
 Positivity is always decided exactly (``HOLDS_EXACT`` or ``FAILS``), on
 the parameters: a phi channel by ||T||_op = max |lam_k| <= 1, a tensor
@@ -35,7 +36,10 @@ form, and ``diag_ks_defect_supremum`` maximises the result over the
 moduli exactly: it is the largest of four quadratic forms, each
 maximised over a triangle by enumerating its KKT points.
 
-Tensor maps have no exact KS test.  One certified sufficient test is the
+The scalar tensor family tlm (A = lam 1, C = mu 1) has an exact KS test,
+``ks_tlm_exact``: its smallest defect eigenvalue over all inputs is a
+closed form in (lam, mu), attained at w = (1, i, 0)/sqrt 2.  The other
+tensor maps have none.  One certified sufficient test is the
 KS operator H, which only the oracle assembles: the defect at x = w.s is
 a quadratic form in w with operator-valued entries, and where the 12x12
 operator H that carries it is positive semidefinite, so is every defect
@@ -43,13 +47,14 @@ operator H that carries it is positive semidefinite, so is every defect
 the oracle's test, and the oracle's one decision: a map whose
 lambda_min(H), less a rounding margin, is >= -tol/2 is clean without
 sampling (``oracle.ks_certified``).  ``classify_full`` asks it first for
-any map whose decider said INCONCLUSIVE, so the note gives
+any tdiag or tmat map whose decider said INCONCLUSIVE, so the note gives
 lambda_min(H); ``oracle.ks_search`` builds the map's template once for
 the KS operator and the search.
 The ``tmat`` decider has no test of its own and always says INCONCLUSIVE.
-The ``tdiag`` and ``tlm`` deciders leave H out, so the agreement harness,
-which calls them directly, still counts exactly the points where the
-paper's inequalities fail as resolved by the oracle.
+The ``tdiag`` and ``tlm`` KS deciders leave H and ``ks_tlm_exact`` out,
+so the agreement harness, which calls them directly, still tests the
+paper's inequalities and counts exactly the points where they fail as
+resolved by the oracle.
 
 The KS and CP deciders of the boxed families (phi, tdiag, tlm) take one
 parameter record or an (N, arity) stack of rows.  A record is the
@@ -683,15 +688,17 @@ def ks_scalar_interval_holds(lam, tol: float = DEFAULT.positivity):
 
 
 def ks_tlm(p, tols: Tolerances = DEFAULT):
-    """The scalar-family KS decision short of the oracle; a
-    ScalarPairParams or an (N, 2) stack of rows (see ks_phi_diag_exact).
+    """The paper's scalar-family KS decision, which the agreement harness
+    tests; a ScalarPairParams or an (N, 2) stack of rows (see
+    ks_phi_diag_exact).
 
     The sufficient inequality first; when it is violated, the component
     rule: the tensor combination of two KS scalar channels is KS.
-    Otherwise INCONCLUSIVE.  The square [-1/4, 1/2]^2 of the rule lies
-    inside the inequality's region, with equality at the corners
-    (-1/4, -1/4), (1/2, -1/4) and (-1/4, 1/2), so the rule decides only
-    slivers about tols.positivity (1e-9) wide outside those corners.
+    Otherwise INCONCLUSIVE, and classify_full decides with ks_tlm_exact.
+    The square [-1/4, 1/2]^2 of the rule lies inside the inequality's
+    region, with equality at the corners (-1/4, -1/4), (1/2, -1/4) and
+    (-1/4, 1/2), so the rule decides only slivers about tols.positivity
+    (1e-9) wide outside those corners.
     """
     (lam, mu), one = _columns(p)
     components = ks_scalar_interval_holds(np.array([lam, mu]), tols.positivity).all(axis=0)
@@ -712,6 +719,61 @@ def ks_tlm(p, tols: Tolerances = DEFAULT):
         )
 
     return _each(one, verdict, *ks_tlm_inequality(lam, mu, tols.positivity), components)
+
+
+# the unit input x = w.s at which every scalar pair attains its smallest
+# KS defect eigenvalue
+_TLM_WITNESS = np.array([1.0, 1j, 0.0]) / math.sqrt(2.0)
+_TLM_WITNESS.setflags(write=False)
+
+
+def ks_tlm_exact(p, tols: Tolerances = DEFAULT):
+    """Exact KS classification of the scalar family; a ScalarPairParams or
+    an (N, 2) stack of rows (see ks_phi_diag_exact).
+
+    The smallest KS-defect eigenvalue over all inputs is
+
+        v = a - max(|alpha + beta|, sqrt((alpha - beta)^2 + 4 lam^2 mu^2)),
+
+    a = 1 - lam^2 - mu^2, alpha = lam - lam^2, beta = mu - mu^2.  The
+    defect ignores w0 and the phase and scale of w, and the map commutes
+    with U (x) U for every unitary U, so rotations in SO(3) move w freely;
+    every unit input thus reduces to w = (cos t, i sin t, 0), t in
+    [0, pi/4].  There the defect D(t) commutes with s3 (x) s3, and its
+    blocks on the two eigenspaces are
+
+        a 1 - sin 2t (alpha +- beta) Z - 2 lam mu {cos 2t, 1} X.
+
+    Their squared radii are linear in sin^2 2t, and at sin 2t = 1 the
+    second block's radius is at least 2|lam mu|, their common value at
+    t = 0; so the minimum is at t = pi/4, with the witness x = w.s,
+    w = (1, i, 0)/sqrt 2.
+
+    HOLDS_EXACT when v >= -tols.positivity, else FAILS with the witness
+    (x, v).  A positivity failure by delta > tols.positivity (|lam| + |mu|
+    = 1 + delta) is the defect -(2 delta + delta^2) at an axis input, so
+    v is below that and the verdict FAILS, as _check_hierarchy requires.
+    Squares are products and the root a hypot, so every parameter up to
+    channels.MAX_PARAM gives a finite v, with no overflow.
+    """
+    (lam, mu), one = _columns(p)
+    alpha, beta = lam - lam * lam, mu - mu * mu
+    v = (1.0 - lam * lam - mu * mu) - np.maximum(
+        abs(alpha + beta), np.hypot(alpha - beta, 2.0 * lam * mu)
+    )
+    tol = tols.positivity
+
+    def verdict(v) -> TriState:
+        note = f"smallest KS defect eigenvalue over all inputs = {v:.6g}"
+        if v >= -tol:
+            return TriState(Status.HOLDS_EXACT, f"{note} >= -{tol:.1g}")
+        return TriState(
+            Status.FAILS,
+            f"{note} < -{tol:.1g}, at w = (1, i, 0)/sqrt2",
+            witness=(PauliElement(0.0, _TLM_WITNESS), v),
+        )
+
+    return _each(one, verdict, float(v) if one else v)
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +943,23 @@ def _positive_tdiag(p: DiagonalTensorParams, tols: Tolerances) -> TriState:
     return _positive_closed_form(2.0 * op, "A = C and 2||A||_op", tols.positivity, mods.index(op))
 
 
+def ks_by_oracle(kind: str, params, tols: Tolerances, cfg) -> TriState:
+    """The KS verdict of the oracle, for a map that its KS decider leaves
+    INCONCLUSIVE: FAILS with the sampled witness, or HOLDS_SUFFICIENT,
+    either because the map's KS operator certifies every defect (the note
+    gives lambda_min(H)) or because no sample violates.  It builds the
+    map, and its template once (oracle.ks_search)."""
+    from . import oracle
+
+    low, wit = oracle.ks_search(map_for_descriptor(kind, params), cfg)
+    if wit is not None:
+        return TriState(Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit)
+    if low is not None:
+        note = oracle.CERTIFIED_NOTE.format(low)
+        return TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation: {note}")
+    return TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation in {cfg.n_samples} samples")
+
+
 @dataclass(frozen=True)
 class Deciders:
     """The positive, KS and CP deciders of one descriptor kind.
@@ -892,13 +971,20 @@ class Deciders:
     also take params as an (N, arity) stack of parameter rows and return
     a list of N TriStates, each the one its row gets alone: the agreement
     harness decides a whole grid with one call of each.  classify_full
-    calls them with one record.  A KS verdict of INCONCLUSIVE sends the
-    agreement harness and classify_full to the oracle.
+    calls them with one record.
+
+    A KS verdict of INCONCLUSIVE sends the agreement harness to the
+    oracle, and classify_full to ks_settle, called as ks_settle(kind,
+    params, tols, cfg): the oracle by default (ks_by_oracle), which
+    builds the map; for tlm the exact closed form ks_tlm_exact, so the
+    harness still tests the paper's inequality while classify_full
+    settles the remaining tlm points exactly.
     """
 
     positive: Callable
     ks: Callable
     cp: Callable
+    ks_settle: Callable = ks_by_oracle
 
 
 # keyed like channels.FAMILIES; the entries look the deciders up when
@@ -923,6 +1009,7 @@ DECIDERS = {
         ),
         ks=lambda p, tols, cfg: ks_tlm(p, tols),
         cp=lambda p, tols, cfg: cp_tlm_exact(p, tols),
+        ks_settle=lambda kind, p, tols, cfg: ks_tlm_exact(p, tols),
     ),
     "tmat": Deciders(
         positive=lambda m, tols, cfg: positive_tensor(m, tols),
@@ -942,8 +1029,10 @@ def classify_full(
     Accepts the flat text form (``phi:...``) or a pre-parsed
     (kind, params) pair.  Each level uses the strongest test available
     for the family (see DECIDERS).  Where a KS decider is INCONCLUSIVE,
-    the oracle decides: the map's KS operator when it certifies every
-    defect, the sampled search otherwise.  Only then is a map built.
+    its ks_settle step decides: for tlm the exact closed form, for the
+    other kinds the oracle, through the map's KS operator when that
+    certifies every defect and the sampled search otherwise.  Only the
+    oracle builds a map.
     """
     from . import oracle
 
@@ -953,16 +1042,7 @@ def classify_full(
     pos = deciders.positive(params, tols, cfg)
     ks = deciders.ks(params, tols, cfg)
     if ks.status is Status.INCONCLUSIVE:
-        low, wit = oracle.ks_search(map_for_descriptor(kind, params), cfg)
-        if wit is not None:
-            ks = TriState(
-                Status.FAILS, f"oracle witness with violation {wit.violation:.3e}", witness=wit
-            )
-        elif low is not None:
-            note = oracle.CERTIFIED_NOTE.format(low)
-            ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation: {note}")
-        else:
-            ks = TriState(Status.HOLDS_SUFFICIENT, f"oracle found no violation in {n_samples} samples")
+        ks = deciders.ks_settle(kind, params, tols, cfg)
     cp = deciders.cp(params, tols, cfg)
     verdict = Verdict(positive=pos, kadison_schwarz=ks, completely_positive=cp)
     _check_hierarchy(verdict, tols)

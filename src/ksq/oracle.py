@@ -578,7 +578,10 @@ def agreement_harness(family: str, grid: int, cfg: SampleConfig = SampleConfig()
     its Choi spectrum.  The KS verdict is checked against the oracle
     unless it is INCONCLUSIVE, which counts as resolved by the oracle: a
     verdict that holds must leave the oracle clean, and one that fails
-    needs an oracle witness below -_WITNESS_FLOOR (1e-6).  The family's KS
+    needs an oracle witness below -_WITNESS_FLOOR (1e-6).  It calls the
+    KS decider (Deciders.ks) only, never ks_settle, so for tlm it still
+    tests the paper's sufficient inequality, which classify_full follows
+    with the exact closed form.  The family's KS
     and CP deciders each take the whole grid as one (N, arity) stack of
     parameter rows; map objects are built only for the points sent to the
     oracle, all in one ks_violation_search_many call, so they share one

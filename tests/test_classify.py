@@ -11,6 +11,7 @@ from conftest import ks_operator, no_certificates
 from ksq import classify, linalg, oracle
 from ksq.channels import (
     FAMILIES,
+    MAX_PARAM,
     DiagonalParams,
     DiagonalTensorParams,
     QubitChannel,
@@ -34,6 +35,7 @@ from ksq.classify import (
     ks_scalar_interval_holds,
     ks_tensor_diag_sufficient,
     ks_tensor_sufficient,
+    ks_tlm_exact,
     ks_tlm_inequality,
     ks_witness_for_diag,
     positive_tensor,
@@ -696,11 +698,13 @@ def test_tlm_positivity_matches_positive_tensor(rng):
 @pytest.mark.parametrize(
     "descriptor",
     ["phi:0.3,-0.2,0.9", "phi:-0.5,-0.5,-0.5", "phi:1,-1,1", "tdiag:0.5,0,0",
-     "tdiag:0.2,0.1,0", "tlm:0.2,-0.1", "tlm:0.5,-0.25"],
+     "tdiag:0.2,0.1,0", "tlm:0.2,-0.1", "tlm:0.5,-0.25",
+     # outside the paper's inequality and the component rule: ks_tlm_exact
+     "tlm:0.6,0.2", "tlm:0.3,-0.5", "tlm:-0.75242916117889425,0.12479031303383681"],
 )
 def test_classify_full_settles_the_boxed_families_without_a_map(descriptor, monkeypatch):
     # the deciders settle these, so no map is built and nothing of the
-    # positive_tensor minimax or of the former SVD path runs
+    # positive_tensor minimax, of the former SVD path or of the oracle runs
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on {descriptor}")
@@ -710,6 +714,8 @@ def test_classify_full_settles_the_boxed_families_without_a_map(descriptor, monk
     monkeypatch.setattr(classify, "map_for_descriptor", refuse("map_for_descriptor"))
     monkeypatch.setattr(classify, "positive_tensor", refuse("positive_tensor"))
     monkeypatch.setattr(np.linalg, "svd", refuse("np.linalg.svd"))
+    monkeypatch.setattr(oracle, "ks_search", refuse("oracle.ks_search"))
+    monkeypatch.setattr(oracle, "sample_unit_sphere", refuse("oracle.sample_unit_sphere"))
     v = classify_full(descriptor)
     assert v.positive.status is Status.HOLDS_EXACT
     assert v.kadison_schwarz.status is not Status.INCONCLUSIVE
@@ -717,8 +723,8 @@ def test_classify_full_settles_the_boxed_families_without_a_map(descriptor, monk
 
 @pytest.mark.parametrize(
     "descriptor,minimax",
-    [("tlm:0.6,0.2", 0), ("tmat:" + ",".join(["0.05"] * 18), 1)],
-    ids=["tlm-oracle", "tmat"],
+    [("tdiag:0.3,-0.3,0", 0), ("tmat:" + ",".join(["0.05"] * 18), 1)],
+    ids=["tdiag-oracle", "tmat"],
 )
 def test_classify_full_builds_one_map_for_the_oracle(descriptor, minimax, monkeypatch):
     built, made, searched, positivity = [], [], [], []
@@ -736,7 +742,7 @@ def test_classify_full_builds_one_map_for_the_oracle(descriptor, minimax, monkey
     monkeypatch.setattr(TensorMap, "__post_init__", spy(made, TensorMap.__post_init__))
     v = classify_full(descriptor)
     assert v.kadison_schwarz.note.startswith("oracle found no violation")
-    # one TensorMap in all: the tlm map for the oracle, or the tmat
+    # one TensorMap in all: the tdiag map for the oracle, or the tmat
     # descriptor's own record, which the oracle searches
     assert len(built) == 1 and len(made) == 1 and searched == made
     assert len(positivity) == minimax
@@ -813,6 +819,104 @@ def test_ks_tlm_component_rule():
     assert tri.status is Status.HOLDS_SUFFICIENT and "components" in tri.note
     assert classify.ks_tlm(ScalarPairParams(0.5, -0.3)).status is Status.INCONCLUSIVE
     assert classify.ks_tlm(ScalarPairParams(0.5, 0.5)).note.startswith("scalar KS inequality holds")
+
+
+def _tlm_rows(points: int, seed: int, count: int) -> np.ndarray:
+    """The points^2 grid of [-1, 1]^2, then count seeded rows of it."""
+    axis = np.linspace(-1.0, 1.0, points)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.concatenate([grid, np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 2))])
+
+
+def test_ks_tlm_exact_stacked_rows_match_one_row_calls_and_reverify():
+    rows = _tlm_rows(41, 2424, 200)
+    stacked = ks_tlm_exact(rows)
+    n_fails = 0
+    for row, tri in zip(rows, stacked, strict=True):
+        p = ScalarPairParams(*row)
+        _same_tristate(tri, ks_tlm_exact(p))
+        if tri.status is Status.FAILS:
+            n_fails += 1
+            x, v = tri.witness
+            assert np.array_equal(x.w, np.array([1.0, 1j, 0.0]) / np.sqrt(2.0))
+            assert abs(ks_defect_min_eig(TensorMap.scalar(p), x) - v) <= 1e-12
+        else:
+            assert tri.status is Status.HOLDS_EXACT and tri.witness is None
+    assert 0 < n_fails < len(rows)
+
+
+def test_ks_tlm_exact_agrees_with_the_oracle_about_its_boundary():
+    # along seeded rays from the origin, where v = 1, bisection to a change
+    # of verdict; then points 1e-6 and 1e-3 on either side of it
+    v = lambda rows: np.array(
+        [tri.witness[1] if tri.witness is not None else 1.0 for tri in ks_tlm_exact(rows)]
+    )
+    rows = []
+    for theta in np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, 12):
+        ray = np.array([np.cos(theta), np.sin(theta)])
+        lo, hi = 0.0, 2.0
+        assert v(np.array([hi * ray]))[0] < 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if v(np.array([mid * ray]))[0] > 0.0 else (lo, mid)
+        rows += [(lo + d) * ray for d in (-1e-3, -1e-6, 1e-6, 1e-3)]
+    rows = np.array(rows)
+    cfg = oracle.SampleConfig(n_samples=20000, seed=7)
+    found = oracle.ks_violation_search_many([TensorMap.scalar(ScalarPairParams(*r)) for r in rows], cfg)
+    for row, tri, wit in zip(rows, ks_tlm_exact(rows), found, strict=True):
+        if tri.status is Status.HOLDS_EXACT:
+            assert wit is None, row
+            continue
+        assert tri.status is Status.FAILS
+        value = tri.witness[1]
+        # the probes hold (1, i, 0)/sqrt 2, so the oracle sees every v below its tol
+        assert (wit is not None) == (value < -cfg.tol), row
+        assert wit is None or wit.violation >= value - 1e-12, row
+
+
+def test_ks_tlm_exact_region_on_the_61_grid():
+    axis = np.linspace(-1.0, 1.0, 61)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    sufficient = np.array([tri.status is Status.HOLDS_SUFFICIENT for tri in classify.ks_tlm(grid)])
+    exact = np.array([tri.status is Status.HOLDS_EXACT for tri in ks_tlm_exact(grid)])
+    # paper's inequality or component rule, within the exact region, within positivity
+    assert (sufficient.sum(), exact.sum()) == (715, 1101)
+    assert np.all(exact[sufficient])
+    assert np.all(np.abs(grid[exact]).sum(axis=1) <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ks_tlm_exact_at_the_largest_parameters(sign):
+    # products, not powers, and a hypot: no OverflowError, no inf and no nan
+    # up to MAX_PARAM
+    rows = np.array([[MAX_PARAM, sign * MAX_PARAM], [MAX_PARAM, 0.5], [-MAX_PARAM, sign * 1e-300]])
+    for row, tri in zip(rows, ks_tlm_exact(rows), strict=True):
+        for got in (tri, ks_tlm_exact(ScalarPairParams(*row))):
+            assert got.status is Status.FAILS
+            value = got.witness[1]
+            assert np.isfinite(value) and value < 0.0
+    v = classify_full(f"tlm:{MAX_PARAM!r},{sign * MAX_PARAM!r}")
+    assert v.kadison_schwarz.status is Status.FAILS
+
+
+@pytest.mark.parametrize("e", [5e-10, 2e-9, 6e-9])
+def test_classify_full_near_the_shared_tlm_corner(e):
+    # at (1/2, 1/2) the positivity, CP and exact KS boundaries meet: the
+    # defect is -4e(1 + e) at (1/2 + e, 1/2 + e), with positivity failing by 2e
+    v = classify_full(f"tlm:{0.5 + e!r},{0.5 + e!r}")
+    ks = v.kadison_schwarz
+    assert ks.status is not Status.INCONCLUSIVE
+    if ks.status is Status.FAILS:
+        assert ks.witness[1] == pytest.approx(-4.0 * e * (1.0 + e), rel=1e-6)
+
+
+def test_classify_full_proves_a_tlm_map_ks_but_not_cp():
+    # the paper's separation, certified: before the closed form a clean
+    # sampling run (holds_sufficient) was the strongest statement here
+    v = classify_full("tlm:-0.46134420037816182,0.017312831060309231")
+    assert v.positive.status is Status.HOLDS_EXACT
+    assert v.kadison_schwarz.status is Status.HOLDS_EXACT
+    assert v.completely_positive.status is Status.FAILS
 
 
 def test_scalar_ks_implies_tensor_ks(rng):
@@ -1155,15 +1259,15 @@ def test_classify_full_tries_the_ks_operator_before_sampling(monkeypatch):
     v = classify_full("tmat:" + ",".join(["0.05"] * 18))
     assert v.kadison_schwarz.status is Status.HOLDS_SUFFICIENT
     assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.7)
-    # tlm outside the sufficient inequality and the component rule
-    v = classify_full("tlm:0.6,0.2")
-    assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.2)
-    # the KS operator stays out of the tlm decider, which the harness calls
-    tri = classify.DECIDERS["tlm"].ks(ScalarPairParams(0.6, 0.2), DEFAULT, None)
+    # tdiag outside the sufficient inequalities
+    v = classify_full("tdiag:0.3,-0.3,0")
+    assert v.kadison_schwarz.note == "oracle found no violation: " + oracle.CERTIFIED_NOTE.format(0.151472)
+    # the KS operator stays out of the tdiag decider, which the harness calls
+    tri = classify.DECIDERS["tdiag"].ks(DiagonalTensorParams(0.3, -0.3, 0.0), DEFAULT, None)
     assert tri.status is Status.INCONCLUSIVE
     # where it is not positive, the oracle decides, with no sampled test before it
     with pytest.raises(AssertionError, match="oracle called"):
-        classify_full("tlm:0.3,-0.5")
+        classify_full("tdiag:0.3,-0.4,0.2")
     with pytest.raises(AssertionError, match="oracle called"):
         classify_full("tmat:0.3,0,0,0,0.3,0,0,0,0.3,-0.5,0,0,0,-0.5,0,0,0,-0.5")
 
@@ -1191,12 +1295,12 @@ def test_classify_full_note_when_the_oracle_draws_nothing(monkeypatch):
     [
         # certified by its KS operator: no search
         ("tmat:" + ",".join(["0.05"] * 18), True, Status.HOLDS_SUFFICIENT),
-        # one of the scalar pairs that the oracle fails
-        ("tlm:-0.75242916117889425,0.12479031303383681", False, Status.FAILS),
+        # a diagonal tensor map that the oracle fails
+        ("tdiag:0.3,-0.4,0.2", False, Status.FAILS),
         # clean, but its KS operator certifies nothing: the search samples it
         ("tdiag:-0.43,-0.29,0", False, Status.HOLDS_SUFFICIENT),
     ],
-    ids=["certified-tmat", "tlm-oracle", "clean-uncertified-tdiag"],
+    ids=["certified-tmat", "failing-tdiag", "clean-uncertified-tdiag"],
 )
 def test_classify_full_builds_each_template_at_most_twice(descriptor, certified, status, monkeypatch):
     # the KS operator and the search share one build, so it is once

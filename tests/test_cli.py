@@ -51,6 +51,22 @@ def test_classify_json_lines(capsys):
     assert all(rec["descriptor"] == "tlm:0.5,0.5" for rec in lines)
 
 
+def test_classify_json_lines_tlm_exact_ks_witness(capsys):
+    lam, mu = -0.75242916117889425, 0.12479031303383681
+    desc = f"tlm:{lam!r},{mu!r}"
+    assert run(["classify", desc, "--format", "json-lines"]) == 0
+    by_level = {rec["level"]: rec for rec in map(json.loads, capsys.readouterr().out.splitlines())}
+    ks = by_level["kadison_schwarz"]
+    assert ks["status"] == "fails"
+    # x = w.s with w = (1, i, 0)/sqrt 2, as (re, im) pairs of (w0, w1, w2, w3)
+    r = 1.0 / np.sqrt(2.0)
+    assert ks["witness"]["input"] == [0.0, 0.0, r, 0.0, 0.0, r, 0.0, 0.0]
+    x, v = classify.ks_tlm_exact(ScalarPairParams(lam, mu)).witness
+    assert ks["witness"]["violation"] == v
+    m = TensorMap.scalar(ScalarPairParams(lam, mu))
+    assert abs(classify.ks_defect_min_eig(m, x) - v) <= 1e-12 and v < -1.0
+
+
 def test_classify_json_lines_positivity_witness(capsys):
     desc = "tmat:0.8,0,0,0,0,0,0,0,0,0.3,0,0,0,0,0,0,0,0"
     assert run(["classify", desc, "--samples", "500", "--format", "json-lines"]) == 0

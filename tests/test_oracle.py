@@ -769,7 +769,8 @@ def test_positivity_last_chunk_starts_early(monkeypatch):
 
 
 def _tlm_oracle_maps():
-    """Scalar pairs that classify_full hands to the KS oracle, all failing KS."""
+    """Scalar pairs outside the paper's KS inequality and the component
+    rule, all failing KS."""
     pairs = [(-0.75242916117889425, 0.12479031303383681), (-0.52807592134690418, 0.32134619804226694),
              (0.28913307428561641, -0.68495527557030877)]
     return [TensorMap.scalar(ScalarPairParams(lam, mu)) for lam, mu in pairs]
