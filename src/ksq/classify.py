@@ -33,8 +33,8 @@ evaluation of the worst-case defect
 
 For fixed moduli n_k = |w_k|^2 the supremum over phases has a closed
 form, and ``diag_ks_defect_supremum`` maximises the result over the
-moduli exactly: it is the largest of four quadratic forms, each
-maximised over a triangle by enumerating its KKT points.
+moduli exactly, per row in Python floats: it is the largest of four
+quadratic forms, each maximised over a triangle by enumerating its KKT points.
 
 The scalar tensor family tlm (A = lam 1, C = mu 1) has an exact KS test,
 ``ks_tlm_exact``: its smallest defect eigenvalue over all inputs is a
@@ -58,15 +58,14 @@ resolved by the oracle.
 
 The KS and CP deciders of the boxed families (phi, tdiag, tlm) take one
 parameter record or an (N, arity) stack of rows.  A record is the
-one-row call of the same array code, and per row only the TriStates are
-built.  The phi rows that violate an inequality share one defect
-supremum, one phase computation and one definition-level re-verification.
+one-row call of the same code, and per row only the TriStates are built.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,140 +150,141 @@ def diag_ks_residuals(l1, l2, l3) -> np.ndarray:
     )
 
 
-def _phase_supremum(a1, a2, a3):
-    """sup over phases d1, d2 of a1 sin^2 d1 + a2 sin^2 d2 + a3 sin^2(d1+d2).
-
-    Returns (sup, d1, d2) with phases attaining it; all arguments
-    broadcast.  Collinear phases put sin^2 = 1 on the two largest weights.
-    When the weights are positive and their reciprocals satisfy the
-    triangle inequality, the interior pattern 2 d_k = pi - Theta_k competes,
-    Theta_k being the angle opposite side 1/a_k of the triangle with sides
-    1/a1, 1/a2, 1/a3; it is worth (s + a1 a2/a3 + a2 a3/a1 + a3 a1/a2) / 2.
-
-    A subnormal weight counts as 0.  Its few bits would otherwise reach the
-    interior ratios at the size of the other weights (a subnormal product
-    divided by a subnormal weight), while dropping it moves the supremum
-    by less than the weight itself; with normal weights each ratio is
-    within 2^-53 of its value.
-    """
-    a1, a2, a3 = (np.where(np.abs(a) < np.finfo(float).tiny, 0.0, a) for a in (a1, a2, a3))
-    s = a1 + a2 + a3
-    pair = s - np.minimum(a1, np.minimum(a2, a3))
-    valid = (a1 * a2 <= a3 * (a1 + a2)) & (a1 * a3 <= a2 * (a1 + a3)) & (a2 * a3 <= a1 * (a2 + a3))
-    valid &= (a1 > 0) & (a2 > 0) & (a3 > 0)
-    # ratios, so that tiny weights do not underflow
-    b1, b2, b3 = (np.where(valid, a, 1.0) for a in (a1, a2, a3))
-    interior = 0.5 * (s + 0.5 * (b1 * b2 / b3 + b2 * b3 / b1 + b3 * b1 / b2))
-    use = valid & (interior > pair)
-    cos1 = np.clip(0.5 * (b3 / b2 + b2 / b3 - (b2 / b1) * (b3 / b1)), -1.0, 1.0)
-    cos2 = np.clip(0.5 * (b3 / b1 + b1 / b3 - (b1 / b2) * (b3 / b2)), -1.0, 1.0)
+def _phases(a1: float, a2: float, a3: float):
+    """Phases (d1, d2) attaining sup a1 sin^2 d1 + a2 sin^2 d2 + a3 sin^2(d1 +
+    d2) for one row of weights: sin^2 = 1 on the two largest weights, or 2 d_k
+    = pi - Theta_k, Theta_k the angle opposite side 1/a_k of the triangle with
+    sides 1/a_k if they form one and (s + a1 a2/a3 + a2 a3/a1 + a3 a1/a2) / 2
+    is larger.  A subnormal weight counts as 0, lest its bits reach the ratios."""
+    a1, a2, a3 = (0.0 if abs(a) < sys.float_info.min else a for a in (a1, a2, a3))
+    if a1 > 0 and a2 > 0 and a3 > 0 and (
+        a1 * a2 <= a3 * (a1 + a2) and a1 * a3 <= a2 * (a1 + a3) and a2 * a3 <= a1 * (a2 + a3)
+    ):
+        s = a1 + a2 + a3
+        if 0.5 * (s + 0.5 * (a1 * a2 / a3 + a2 * a3 / a1 + a3 * a1 / a2)) > s - min(a1, a2, a3):
+            cos1 = min(max(0.5 * (a3 / a2 + a2 / a3 - (a2 / a1) * (a3 / a1)), -1.0), 1.0)
+            cos2 = min(max(0.5 * (a3 / a1 + a1 / a3 - (a1 / a2) * (a3 / a2)), -1.0), 1.0)
+            # np.arccos, not math.acos: they differ in the last bit on some
+            # inputs, and np.arccos of a float has the bits of its array loop
+            return 0.5 * (math.pi - float(np.arccos(cos1))), 0.5 * (math.pi - float(np.arccos(cos2)))
     # collinear: dropping a1 is (0, pi/2), a2 is (pi/2, 0), a3 is (pi/2, pi/2)
-    drop1, drop2 = (a1 <= a2) & (a1 <= a3), (a2 < a1) & (a2 <= a3)
-    d1 = np.where(use, 0.5 * (np.pi - np.arccos(cos1)), np.where(drop1, 0.0, 0.5 * np.pi))
-    d2 = np.where(use, 0.5 * (np.pi - np.arccos(cos2)), np.where(drop2, 0.0, 0.5 * np.pi))
-    return np.where(use, interior, pair), d1, d2
+    d1 = 0.0 if a1 <= a2 and a1 <= a3 else 0.5 * math.pi
+    return d1, 0.0 if a2 < a1 and a2 <= a3 else 0.5 * math.pi
 
 
-def _matmul3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for stacks of 3x3 matrices, summed elementwise in a fixed order
-    so that a stacked product is bit-identical to the same product alone."""
-    return sum(x[..., :, j, None] * y[..., None, j, :] for j in range(3))
+def _argmax(values, args):
+    """np.max, np.argmax of a short axis: first max, else first NaN (+NaN if first, as numpy's SIMD)."""
+    best, arg = values[0], args[0]
+    if best != best:
+        return math.nan, arg
+    for v, a in zip(values, args):
+        if v != v:
+            return v, a
+        if v > best:
+            best, arg = v, a
+    return best, arg
 
 
-def _max_on_simplex(Q: np.ndarray):
-    """(max, argmax) of b^T Q b on the simplex b >= 0, b1 + b2 + b3 = 1.
-
-    Q is a stack (..., 3, 3) of symmetric matrices.  The maximiser is a KKT
-    point of the face it lies in: a vertex, the stationary point of an edge
-    (clipped to the edge), or the interior stationary point
-    adj(Q) 1 / (1^T adj(Q) 1) if it lies in the simplex.  A face whose
-    stationary points form a line is skipped; q is constant along that
-    line, so a smaller face attains the same value.
-    """
-    b = np.zeros(Q.shape[:-2] + (7, 3))
-    b[..., (0, 1, 2), (0, 1, 2)] = 1.0
-    for c, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
-        den = Q[..., i, i] + Q[..., j, j] - 2.0 * Q[..., i, j]
-        t = np.divide(Q[..., j, j] - Q[..., i, j], den, out=np.zeros_like(den), where=den < 0)
-        b[..., c, i] = np.clip(t, 0.0, 1.0)
-        b[..., c, j] = 1.0 - b[..., c, i]
-    # row k of adj(Q) is the cross product of rows k + 1 and k + 2 of Q
-    r1, r2 = Q[..., [1, 2, 0], :], Q[..., [2, 0, 1], :]
-    u = sum(r1[..., i] * r2[..., j] - r1[..., j] * r2[..., i] for i, j in ((1, 2), (2, 0), (0, 1)))
-    total = (u[..., 0] + u[..., 1] + u[..., 2])[..., None]
-    b[..., 6, :] = np.divide(u, total, out=np.full_like(u, -1.0), where=total != 0)
-    qb = _matmul3(b, Q)
-    value = b[..., 0] * qb[..., 0] + b[..., 1] * qb[..., 1] + b[..., 2] * qb[..., 2]
-    value[..., 6] = np.where(np.all(b[..., 6, :] >= 0.0, axis=-1), value[..., 6], -np.inf)
-    k = np.argmax(value, axis=-1)
-    return np.max(value, axis=-1), np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
+def _mm(x, y) -> list:
+    """x @ y for x of 1 or 3 rows and a 3x3 y, floats by rows, summed from 0."""
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    out = []
+    for a, b, c in zip(x[0::3], x[1::3], x[2::3]):
+        out += (0.0 + a * y0 + b * y3 + c * y6, 0.0 + a * y1 + b * y4 + c * y7, 0.0 + a * y2 + b * y5 + c * y8)
+    return out
 
 
-def _diag_ks_terms(lams: np.ndarray):
-    """(K, c) for an (..., 3) array of parameter rows: K = (A, B, C) with
-    A = (lam1 - lam2 lam3)^2, B = (lam2 - lam1 lam3)^2, C = (lam3 -
-    lam1 lam2)^2, and c = (alpha, beta, gamma) with alpha = |1 - lam1^2|
-    and so on, both (..., 3)."""
-    d = lams - lams[..., [1, 0, 0]] * lams[..., [2, 2, 1]]
-    return d * d, np.abs(1.0 - lams * lams)
+def _form(q, b) -> float:
+    """b^T Q b for Q held as 9 floats by rows, as b @ Q then its dot with b."""
+    (b0, b1, b2), (q00, q01, q02, q10, q11, q12, q20, q21, q22) = b, q
+    return (b0 * (0.0 + b0 * q00 + b1 * q10 + b2 * q20) + b1 * (0.0 + b0 * q01 + b1 * q11 + b2 * q21)
+            + b2 * (0.0 + b0 * q02 + b1 * q12 + b2 * q22))
 
 
-# _THIRD[i, j] = k for the weight a_k = 4 K_k n_i n_j of the moduli pair (i, j), K = (A, B, C)
-_THIRD = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+def _max_on_simplex(q):
+    """(max, argmax) of b^T Q b on the simplex b >= 0, b1 + b2 + b3 = 1, Q held as 9 floats by
+    rows, over the KKT points of its faces: vertices, clipped edge stationary points and adj(Q) 1
+    / (1^T adj(Q) 1) if inside (a face whose stationary points form a line has its value on a
+    smaller face).  While sum |Q_ij| < 2^1022 a vertex is worth Q_ii and an edge drops its zero
+    coordinate's products: they add +-0 to sums that are never -0."""
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+    # entry k of adj(Q) 1 sums the cross product of rows k + 1 and k + 2 of Q
+    u0 = 0.0 + (q11 * q22 - q12 * q21) + (q12 * q20 - q10 * q22) + (q10 * q21 - q11 * q20)
+    u1 = 0.0 + (q21 * q02 - q22 * q01) + (q22 * q00 - q20 * q02) + (q20 * q01 - q21 * q00)
+    u2 = 0.0 + (q01 * q12 - q02 * q11) + (q02 * q10 - q00 * q12) + (q00 * q11 - q01 * q10)
+    total = u0 + u1 + u2
+    b = (u0 / total, u1 / total, u2 / total) if total != 0 else (-1.0, -1.0, -1.0)
+    top = _form(q, b) if b[0] >= 0.0 and b[1] >= 0.0 and b[2] >= 0.0 else -math.inf
+    edges = []  # (t, 1 - t, c^T Q c) at edge (i, j)'s stationary point c = t e_i + (1 - t) e_j
+    for qii, qij, qji, qjj in ((q00, q01, q10, q11), (q00, q02, q20, q22), (q11, q12, q21, q22)):
+        den = qii + qjj - 2.0 * qij
+        t = (qjj - qij) / den if den < 0 else 0.0
+        t = 1.0 if t > 1.0 else 0.0 if t < 0.0 else t  # as np.clip: NaN and -0.0 pass
+        r = 1.0 - t
+        edges.append((t, r, t * (t * qii + r * qji) + r * (t * qij + r * qjj)))
+    (t01, r01, v01), (t02, r02, v02), (t12, r12, v12) = edges
+    cands = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    cands += ((t01, r01, 0.0), (t02, 0.0, r02), (0.0, t12, r12), b)
+    if sum(map(abs, q)) < 2.0**1022:
+        return _argmax((q00, q11, q22, v01, v02, v12, top), cands)
+    return _argmax([_form(q, c) for c in cands[:6]] + [top], cands)
+
+
+def _diag_ks_terms(l1: float, l2: float, l3: float):
+    """((A, B, C), (alpha, beta, gamma)) of a row: A = (lam1 - lam2 lam3)^2, alpha = |1 - lam1^2|, ..."""
+    d = (l1 - l2 * l3, l2 - l1 * l3, l3 - l1 * l2)
+    return tuple(x * x for x in d), (abs(1.0 - l1 * l1), abs(1.0 - l2 * l2), abs(1.0 - l3 * l3))
+
+
+def _defect_supremum_row(l1: float, l2: float, l3: float):
+    """(sup, n) of diag_ks_defect_supremum for one parameter row."""
+    (A, B, C), (c0, c1, c2) = _diag_ks_terms(l1, l2, l3)
+    g00, g01, g02, g11, g12, g22 = c0 * c0, c0 * c1, c0 * c2, c1 * c1, c1 * c2, c2 * c2
+    # n^T s n = a1 + a2 + a3: s_12 = 2A, s_02 = 2B, s_01 = 2C; z = 0 s (NaN where s overflows)
+    sA, sB, sC = 2.0 * A, 2.0 * B, 2.0 * C
+    zA, zB, zC = sA * 0.0, sB * 0.0, sC * 0.0
+    d0, d1, d2 = zA - g00, zB - g11, zC - g22
+    p01, p02, p12, m01, m02, m12 = sC - g01, sB - g02, sA - g12, zC - g01, zB - g02, zA - g12
+    # the pair sums s - a_k - gain^2, k = 1, 2, 3, then the interior form
+    pairs = ((p01, p02, m12), (p01, m02, p12), (m01, p02, p12))
+    forms = [(d0, x01, x02, x01, d1, x12, x02, x12, d2) for x01, x02, x12 in pairs]
+    if A > 0 and B > 0 and C > 0:
+        # column j of V is the vertex with n_j = 0; DV = diag(BC/A, CA/B, AB/C) V, divisions cancelled
+        e0, e1, e2, bc, ac, ab = B + C, A + C, A + B, B * C, A * C, A * B
+        V = (A * 0.0 / e0, A / e1, A / e2, B / e0, B * 0.0 / e1, B / e2, C / e0, C / e1, C * 0.0 / e2)
+        DV = (bc * 0.0 / e0, bc / e1, bc / e2, ac / e0, ac * 0.0 / e1, ac / e2, ab / e0, ab / e1, ab * 0.0 / e2)
+        h01, h02, h12 = 0.5 * sC - g01, 0.5 * sB - g02, 0.5 * sA - g12
+        M = (0.5 * zA - g00, h01, h02, h01, 0.5 * zB - g11, h12, h02, h12, 0.5 * zC - g22)
+        Vt = V[0::3] + V[1::3] + V[2::3]
+        forms.append([x + y for x, y in zip(_mm(Vt, _mm(M, V)), _mm(Vt, DV))])
+    best = [_max_on_simplex(q) for q in forms]
+    sup, k = _argmax([v for v, _ in best], range(len(best)))
+    return sup, _mm(best[k][1], Vt) if k == 3 else best[k][1]
 
 
 def diag_ks_defect_supremum(p):
-    """Exact worst case of the KS defect for a diagonal channel.
-
-    p is an (..., 3) array of (lam1, lam2, lam3).  Returns (sup, n): sup
-    (...) is the supremum over unit-norm inputs of LHS^2 - RHS^2 of the
-    bracket inequality (positive means the channel is not
-    Kadison-Schwarz), n (..., 3) the maximising moduli; each point gets
-    the bits it gets alone.
-
-    At moduli n the worst phases give _phase_supremum(a) - gain^2, with
-    a1 = 4A n2 n3, a2 = 4B n1 n3, a3 = 4C n1 n2.  That is the largest of
-    four quadratic forms in n: the pair sums s - a_k - gain^2 on the whole
-    simplex, and s/2 + BC n1^2/A + CA n2^2/B + AB n3^2/C - gain^2 where its
-    triangle condition holds, which is linear in n (e.g. AB n3 <= C(A n2 +
-    B n1)) and cuts out the triangle with vertices (0, B, C)/(B + C),
-    (A, 0, C)/(A + C), (A, B, 0)/(A + B).  _max_on_simplex maximises each
-    form in barycentric coordinates of its triangle.
-    """
-    K, c = _diag_ks_terms(p)
-    gain2 = c[..., :, None] * c[..., None, :]
-    off = 1.0 - np.eye(3)
-    s = 2.0 * K[..., _THIRD] * off  # n^T s n = a1 + a2 + a3
-    pairs = s[..., None, :, :] * (_THIRD != np.arange(3)[:, None, None]) - gain2[..., None, :, :]
-    interior = np.all(K > 0, axis=-1)
-    K = np.where(interior[..., None], K, 1.0)
-    # column k of V is the vertex with n_k = 0, e.g. (0, B, C)/(B + C);
-    # DV = diag(BC/A, CA/B, AB/C) V with the divisions cancelled
-    k1, k2 = K[..., [1, 0, 0]], K[..., [2, 2, 1]]
-    V = K[..., :, None] * off / (k1 + k2)[..., None, :]
-    DV = (k1 * k2)[..., :, None] * off / (k1 + k2)[..., None, :]
-    Vt = np.swapaxes(V, -1, -2)
-    q_int = _matmul3(Vt, _matmul3(0.5 * s - gain2, V)) + _matmul3(Vt, DV)
-    value, b = _max_on_simplex(np.concatenate([pairs, q_int[..., None, :, :]], axis=-3))
-    value[..., 3] = np.where(interior, value[..., 3], -np.inf)
-    k = np.argmax(value, axis=-1)
-    b = np.take_along_axis(b, k[..., None, None], axis=-2)[..., 0, :]
-    n = np.where((k == 3)[..., None], _matmul3(V, b[..., :, None])[..., 0], b)
-    return np.max(value, axis=-1), n
+    """Exact worst case of the KS defect of diagonal channels, for an (..., 3)
+    array p of (lam1, lam2, lam3), each row worked out alone in Python floats:
+    (sup, n), sup (...) the supremum over unit-norm inputs of LHS^2 - RHS^2 of
+    the bracket inequality (positive: not KS), n (..., 3) its moduli.  At n the
+    worst phases leave the largest of the pair sums s - a_k (a1 = 4A n2 n3, a2 =
+    4B n1 n3, a3 = 4C n1 n2) and, on the triangle (0, B, C)/(B + C), (A, 0, C)/(A +
+    C), (A, B, 0)/(A + B), of s/2 + BC n1^2/A + CA n2^2/B + AB n3^2/C, less gain^2."""
+    p = np.asarray(p, dtype=float)
+    rows = [_defect_supremum_row(*row) for row in p.reshape(-1, 3).tolist()]
+    n = np.array([n for _, n in rows]).reshape(p.shape)
+    return np.array([s for s, _ in rows]).reshape(p.shape[:-1])[()], n
 
 
 def ks_witness_for_diag(p, n):
-    """Unit-norm inputs with the worst KS defect at the given moduli: for
-    (..., 3) arrays p of parameter rows and n of moduli, the (..., 3)
-    inputs w of x = w.s."""
-    K, _ = _diag_ks_terms(p)
-    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
-    _, d1, d2 = _phase_supremum(
-        4.0 * K[..., 0] * n2 * n3, 4.0 * K[..., 1] * n1 * n3, 4.0 * K[..., 2] * n1 * n2
-    )
-    # d1 = th2 - th3, d2 = th3 - th1 with th1 = 0
-    phases = np.stack([np.zeros_like(d1), d1 + d2, d2], axis=-1)
-    return np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * phases)
+    """Unit-norm inputs w (..., 3) of x = w.s with the worst KS defect of the
+    rows p (..., 3) at moduli n (..., 3), their phases worked out per row."""
+    phases = []
+    for row, (n1, n2, n3) in zip(np.reshape(p, (-1, 3)).tolist(), np.reshape(n, (-1, 3)).tolist()):
+        (A, B, C), _ = _diag_ks_terms(*row)
+        d1, d2 = _phases(4.0 * A * n2 * n3, 4.0 * B * n1 * n3, 4.0 * C * n1 * n2)
+        phases.append((0.0, d1 + d2, d2))  # d1 = th2 - th3, d2 = th3 - th1 with th1 = 0
+    return np.sqrt(np.clip(n, 0.0, None)) * np.exp(1j * np.array(phases).reshape(np.shape(n)))
 
 
 def _defect_min_eigs(m_sq, m_x, tols: Tolerances) -> np.ndarray:
@@ -373,8 +373,7 @@ def ks_phi_diag_exact(p, tols: Tolerances = DEFAULT, cfg=None):
     held = all_hold(res, tols.positivity)
     holds = TriState(Status.HOLDS_EXACT, "diag KS inequalities hold")
     if one:
-        # a lone row stays a (3,) array: a leading axis of one costs every
-        # numpy call of the fallback time
+        # a lone row stays a (3,) array for the numpy re-verification
         return holds if held else _ks_phi_fallback(np.array(cols), res, tols, cfg)[0]
     out = [holds] * len(held)
     bad = np.flatnonzero(~held)

@@ -74,14 +74,15 @@ def star_square_coeffs(w0, w):
 
     x*x = (|w0|^2 + ||w||^2) 1 + (w0 conj(w) + conj(w0) w - i[w, conj(w)]).s
 
-    with the complex-bilinear bracket [u, v] = np.cross(u, v), fixed by
-    (u.s)(v.s) - (v.s)(u.s) = 2i [u, v].s; no conjugation happens inside it.
+    with the complex-bilinear bracket [u, v] = u x v (np.cross's products,
+    spelled out), fixed by (u.s)(v.s) - (v.s)(u.s) = 2i [u, v].s; no conjugation.
     """
     w0 = np.asarray(w0, dtype=complex)
     w = np.asarray(w, dtype=complex)
     wc = np.conj(w)
     c0 = np.abs(w0) ** 2 + np.sum(np.abs(w) ** 2, axis=-1)
-    cvec = w0[..., None] * wc + np.conj(w0)[..., None] * w - 1j * np.cross(w, wc)
+    bracket = w[..., [1, 2, 0]] * wc[..., [2, 0, 1]] - w[..., [2, 0, 1]] * wc[..., [1, 2, 0]]
+    cvec = w0[..., None] * wc + np.conj(w0)[..., None] * w - 1j * bracket
     return c0.astype(complex), cvec
 
 

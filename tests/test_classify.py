@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -41,7 +42,6 @@ from ksq.classify import (
     positive_tensor,
     tensor_positivity_steps,
     tlm_choi_eigenvalues,
-    _phase_supremum,
 )
 from ksq.pauli import PauliElement
 from ksq.tolerances import DEFAULT, Tolerances
@@ -96,6 +96,47 @@ def test_scalar_interval_consistency_with_diag_exact():
         interval = bool(ks_scalar_interval_holds(lam))
         diag = ks_phi_diag_exact(DiagonalParams(2 * lam, 2 * lam, 2 * lam))
         assert interval == (diag.status is Status.HOLDS_EXACT), f"disagreement at lam={lam}"
+
+
+def _phase_supremum(a1, a2, a3):
+    """sup over phases d1, d2 of a1 sin^2 d1 + a2 sin^2 d2 + a3 sin^2(d1+d2),
+    as (sup, d1, d2) with phases attaining it, all arguments broadcasting:
+    the array form of classify._phases, kept as the reference it must
+    match bit for bit.  Collinear phases put sin^2 = 1 on the two largest
+    weights; the interior pattern 2 d_k = pi - Theta_k, Theta_k the angle
+    opposite side 1/a_k of the triangle with sides 1/a_k, competes where
+    the weights are positive and their reciprocals form a triangle.  A
+    subnormal weight counts as 0."""
+    a1, a2, a3 = (np.where(np.abs(a) < np.finfo(float).tiny, 0.0, a) for a in (a1, a2, a3))
+    s = a1 + a2 + a3
+    pair = s - np.minimum(a1, np.minimum(a2, a3))
+    valid = (a1 * a2 <= a3 * (a1 + a2)) & (a1 * a3 <= a2 * (a1 + a3)) & (a2 * a3 <= a1 * (a2 + a3))
+    valid &= (a1 > 0) & (a2 > 0) & (a3 > 0)
+    b1, b2, b3 = (np.where(valid, a, 1.0) for a in (a1, a2, a3))
+    interior = 0.5 * (s + 0.5 * (b1 * b2 / b3 + b2 * b3 / b1 + b3 * b1 / b2))
+    use = valid & (interior > pair)
+    cos1 = np.clip(0.5 * (b3 / b2 + b2 / b3 - (b2 / b1) * (b3 / b1)), -1.0, 1.0)
+    cos2 = np.clip(0.5 * (b3 / b1 + b1 / b3 - (b1 / b2) * (b3 / b2)), -1.0, 1.0)
+    drop1, drop2 = (a1 <= a2) & (a1 <= a3), (a2 < a1) & (a2 <= a3)
+    d1 = np.where(use, 0.5 * (np.pi - np.arccos(cos1)), np.where(drop1, 0.0, 0.5 * np.pi))
+    d2 = np.where(use, 0.5 * (np.pi - np.arccos(cos2)), np.where(drop2, 0.0, 0.5 * np.pi))
+    return np.where(use, interior, pair), d1, d2
+
+
+def test_phases_match_the_array_reference(rng):
+    # the per-row phases are the reference's bits, on weights where each
+    # branch decides: interior, collinear with ties, zero and subnormal
+    a = rng.uniform(0.0, 2.0, size=(20000, 3))
+    a[::7, 1] = 0.0
+    a[1::7] = a[1::7, [0, 0, 2]]
+    a[2::7, 2] = 1e-310
+    a[3::7] *= 1e-300
+    a[4::7] *= 1e300
+    a = np.concatenate([a, [[np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]])
+    with np.errstate(all="ignore"):
+        _, d1, d2 = _phase_supremum(a[:, 0], a[:, 1], a[:, 2])
+    rows = np.array([classify._phases(*row) for row in a.tolist()])
+    assert rows.tobytes() == np.stack([d1, d2], axis=-1).tobytes()
 
 
 def test_phase_supremum_against_brute_force(rng):
@@ -200,17 +241,22 @@ def test_ks_probe_vectors_read_only():
 
 
 def diag_terms(lams) -> SimpleNamespace:
-    """classify's diagonal KS terms of (..., 3) parameter rows under the
-    paper's names: A, B, C = (lam_k - lam_i lam_j)^2, alpha, beta, gamma =
-    |1 - lam_k^2|."""
-    K, c = classify._diag_ks_terms(lams)
+    """The diagonal KS terms of (..., 3) parameter rows under the paper's
+    names, as classify._diag_ks_terms forms them per row: A, B, C =
+    (lam_k - lam_i lam_j)^2, alpha, beta, gamma = |1 - lam_k^2|."""
+    l1, l2, l3 = lams[..., 0], lams[..., 1], lams[..., 2]
+    d1, d2, d3 = l1 - l2 * l3, l2 - l1 * l3, l3 - l1 * l2
     return SimpleNamespace(
-        A=K[..., 0], B=K[..., 1], C=K[..., 2], alpha=c[..., 0], beta=c[..., 1], gamma=c[..., 2]
+        A=d1 * d1, B=d2 * d2, C=d3 * d3,
+        alpha=np.abs(1.0 - l1 * l1), beta=np.abs(1.0 - l2 * l2), gamma=np.abs(1.0 - l3 * l3),
     )
 
 
 def test_diag_ks_terms_record():
-    t = diag_terms(DiagonalParams(0.6, 0.5, 0.0).as_array())
+    row = (0.6, 0.5, 0.0)
+    (A, B, C), (alpha, beta, gamma) = classify._diag_ks_terms(*row)
+    t = diag_terms(np.array(row))
+    assert (A, B, C, alpha, beta, gamma) == (t.A, t.B, t.C, t.alpha, t.beta, t.gamma)
     assert t.alpha == pytest.approx(0.64)
     assert t.beta == pytest.approx(0.75)
     assert t.gamma == pytest.approx(1.0)
@@ -409,6 +455,36 @@ def test_diag_fails_witnesses_reverify_on_grid(monkeypatch):
         value = ks_defect_min_eig(QubitChannel.diagonal(p), x)
         assert value < -DEFAULT.ks_violation and value == pytest.approx(violation, abs=1e-12)
     assert n_fails > 4000
+
+
+def _fallback_sha256() -> str:
+    """sha256 over the phi fallback's outputs: diag_ks_defect_supremum's
+    (sup, n), ks_witness_for_diag's w and ks_phi_diag_exact's TriStates,
+    for the grid's fallback rows, the zero-term points, 200 seeded rows and
+    rows of extreme entries, where inf and NaN arise inside."""
+    extreme = list(itertools.product((MAX_PARAM, -MAX_PARAM, 1e-300, -1e-300, 0.0, 0.5), repeat=3))
+    pts = np.concatenate(
+        [
+            _grid_fallback_points(),
+            np.array(ZERO_TERM_POINTS),
+            np.random.default_rng(2525).uniform(-1.0, 1.0, size=(200, 3)),
+            np.array(extreme),
+        ]
+    )
+    with np.errstate(all="ignore"):
+        sup, n = diag_ks_defect_supremum(pts)
+        w = ks_witness_for_diag(pts, n)
+        verdicts = ks_phi_diag_exact(pts)
+    h = hashlib.sha256(sup.tobytes() + n.tobytes() + w.tobytes())
+    h.update(_tristates_sha256(verdicts).encode())
+    return h.hexdigest()
+
+
+def test_fallback_outputs_pinned():
+    # the digest of the array form of the supremum and its phases: the float
+    # kernel keeps every bit, NaNs included, and raises nowhere that numpy
+    # returned inf or NaN
+    assert _fallback_sha256() == "49376a90efa1c59173fb0da98401095024c6b12fbdd311124bbf19f574dc6e9a"
 
 
 # --- tensor positivity ------------------------------------------------------
@@ -1355,7 +1431,6 @@ def test_classify_full_at_the_positivity_boundary():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="closed-form KS and CP residuals are differences of squares, so their "
     "slack is of order sqrt(positivity): this channel's Choi lambda_min is -1.58e-5 "
     "and the oracle finds a KS witness at -1.79e-5, yet both read holds_exact",
@@ -1364,6 +1439,18 @@ def test_classify_full_squared_residual_slack():
     v = classify_full("phi:0.9999495242798855,-0.9999811457010788,-1.0")
     assert v.kadison_schwarz.status is Status.FAILS
     assert v.completely_positive.status is Status.FAILS
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="on the tlm CP edge lam + mu = 1 + eps the exact KS defect is -2 eps, while "
+    "the CP residual eps is compared with the same positivity tolerance: for "
+    "5e-10 < eps <= 1e-9 CP reads holds_exact and KS fails at v = -2 eps",
+)
+def test_classify_full_tlm_cp_edge_keeps_the_hierarchy():
+    v = classify_full("tlm:0.3,0.7000000007")
+    cp, ks = v.completely_positive.status, v.kadison_schwarz.status
+    assert not (cp is Status.HOLDS_EXACT and ks is Status.FAILS), v.kadison_schwarz.witness
 
 
 def test_check_hierarchy_allows_ks_witnesses_within_the_cp_slack():

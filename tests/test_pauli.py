@@ -53,6 +53,17 @@ def test_bracket_commutator_identity(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def test_star_square_bracket_is_np_cross_bit_for_bit(rng):
+    # the bracket's three component differences are np.cross's products
+    z = rng.normal(size=(10000, 8))
+    w0, w = z[:, 0] + 1j * z[:, 1], z[:, 2:5] + 1j * z[:, 5:]
+    for a0, a in ((w0, w), (w0[0], w[0])):
+        c0, cvec = pauli.star_square_coeffs(a0, a)
+        wc = np.conj(a)
+        expected = np.asarray(a0)[..., None] * wc + np.conj(a0)[..., None] * a - 1j * np.cross(a, wc)
+        assert cvec.shape == expected.shape and cvec.tobytes() == expected.tobytes()
+
+
 def test_star_square_fixtures():
     assert coeffs_close(star_square(PauliElement(1.0)), PauliElement(1.0))
     assert coeffs_close(star_square(PauliElement(0.0, [1, 0, 0])), PauliElement(1.0))
